@@ -1,23 +1,31 @@
 #include "db/kv.h"
 
+#include <utility>
+
 #include "common/check.h"
 
 namespace rcommit::db {
 
-KvStore::KvStore(const std::filesystem::path& wal_path)
-    : wal_(std::make_unique<WriteAheadLog>(wal_path)) {
-  for (const auto& record : wal_->replay()) {
+KvStore::KvStore(const std::filesystem::path& wal_path) {
+  // The WAL's open scans the file once (truncating a torn tail) and hands
+  // its records over, so reopening a shard reads its log exactly once.
+  std::vector<WalRecord> records;
+  wal_ = std::make_unique<WriteAheadLog>(wal_path, records);
+  for (auto& record : records) {
     switch (record.type) {
       case WalRecordType::kBegin:
         staged_[record.txn_id];  // ensure the entry exists
         break;
       case WalRecordType::kWrite:
-        staged_[record.txn_id].writes.push_back({record.key, record.value});
+        staged_[record.txn_id].writes.push_back(
+            {std::move(record.key), std::move(record.value)});
         break;
-      case WalRecordType::kPrepared:
-        staged_[record.txn_id].prepared = true;
-        staged_[record.txn_id].participants = decode_participant_list(record.value);
+      case WalRecordType::kPrepared: {
+        Staged& staged = staged_[record.txn_id];
+        staged.prepared = true;
+        staged.participants = decode_participant_list(record.value);
         break;
+      }
       case WalRecordType::kCommit: {
         auto it = staged_.find(record.txn_id);
         if (it != staged_.end()) {
@@ -30,7 +38,7 @@ KvStore::KvStore(const std::filesystem::path& wal_path)
         staged_.erase(record.txn_id);
         break;
       case WalRecordType::kSnapshot:
-        data_[record.key] = record.value;
+        data_[std::move(record.key)] = std::move(record.value);
         break;
       case WalRecordType::kBatchSeal:
         break;  // a recovery hint for RecoveryManager; carries no shard state
@@ -106,6 +114,11 @@ std::optional<std::string> KvStore::get(const std::string& key) const {
   auto it = data_.find(key);
   if (it == data_.end()) return std::nullopt;
   return it->second;
+}
+
+bool KvStore::is_in_doubt(TxnId txn) const {
+  const auto it = staged_.find(txn);
+  return it != staged_.end() && it->second.prepared;
 }
 
 std::vector<TxnId> KvStore::in_doubt() const {

@@ -59,6 +59,9 @@ class KvStore {
   /// Transactions recovered from the WAL as prepared-but-undecided. The
   /// owner must resolve each with commit() or abort().
   [[nodiscard]] std::vector<TxnId> in_doubt() const;
+  /// Whether `txn` is one of in_doubt(), in O(log n) and without building
+  /// the list.
+  [[nodiscard]] bool is_in_doubt(TxnId txn) const;
 
   /// Compacts the WAL: rewrites it as a snapshot of the committed state plus
   /// the records of still-pending (prepared, undecided) transactions,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "adversary/basic.h"
 #include "common/check.h"
@@ -31,12 +32,12 @@ BatchSurvey RecoveryManager::survey_all() const {
   std::map<TxnId, std::set<int32_t>> participant_sets;
   std::map<int64_t, std::set<TxnId>> seal_sets;
   for (size_t i = 0; i < shards_.size(); ++i) {
-    // Replay the shard's WAL fresh; the live KvStore only retains staged
-    // state, but recovery needs the full outcome history. ONE replay per
-    // shard covers every transaction — the multi-shot scan.
-    WriteAheadLog wal(shards_[i]->wal().path());
+    // Replay the shard's WAL again: the live KvStore only retains staged
+    // state, but recovery needs the full outcome history. ONE read-only
+    // replay per shard, through the store's own log, covers every
+    // transaction — the multi-shot scan. It reads what has been flushed.
     auto& statuses = survey.statuses[i];
-    for (const auto& record : wal.replay()) {
+    for (const auto& record : shards_[i]->wal().replay()) {
       switch (record.type) {
         case WalRecordType::kBegin:
         case WalRecordType::kWrite: {
@@ -196,9 +197,7 @@ void RecoveryManager::apply_decision(TxnId txn, Decision decision,
   // Apply to every shard still holding the transaction in doubt.
   for (int32_t shard : prepared_shards) {
     auto& store = *shards_[static_cast<size_t>(shard)];
-    bool still_in_doubt = false;
-    for (TxnId t : store.in_doubt()) still_in_doubt |= (t == txn);
-    if (!still_in_doubt) continue;
+    if (!store.is_in_doubt(txn)) continue;
     if (decision == Decision::kCommit) {
       store.commit(txn);
     } else {
@@ -222,54 +221,77 @@ RecoveryReport RecoveryManager::resolve_all() {
 
   // Classify everything first: rule-3 members of the same recorded seal
   // share ONE protocol rerun (seeded by the batch id) instead of one each.
-  std::map<TxnId, Resolution> resolutions;
-  for (TxnId txn : pending) resolutions.emplace(txn, classify(txn, survey));
+  // Its participant set is the union of the batch's pending rule-3 members'
+  // prepared shards — the set the live batched round ran over, minus
+  // members already settled by rules 1 and 2 (whose recorded outcomes stand
+  // on their own) — gathered in this same pass.
   std::map<TxnId, int64_t> seal_of;
   for (const auto& [batch, members] : survey.batches) {
     for (TxnId member : members) seal_of[member] = batch;
+  }
+  std::vector<std::pair<TxnId, Resolution>> resolutions;
+  resolutions.reserve(pending.size());
+  std::map<int64_t, std::set<int32_t>> batch_shards;
+  for (TxnId txn : pending) {
+    Resolution resolution = classify(txn, survey);
+    if (resolution.needs_rerun) {
+      const auto seal_it = seal_of.find(txn);
+      if (seal_it != seal_of.end()) {
+        resolution.batch = seal_it->second;
+        batch_shards[seal_it->second].insert(resolution.prepared_shards.begin(),
+                                             resolution.prepared_shards.end());
+      }
+    }
+    resolutions.emplace_back(txn, std::move(resolution));
+  }
+
+  // Outcome records coalesce per shard into group flushes instead of one
+  // write and flush each. Each store's group state is left as found: a
+  // group recovery opens it also ends, an owner's open group is committed
+  // and stays open. Either way every outcome is on disk when this returns.
+  // A crash before the flush loses buffered outcomes harmlessly: they were
+  // never observed, and the next resolve reaches the same decisions (the
+  // reruns are deterministic, and rule 1 adopts any outcome that landed).
+  std::vector<bool> opened_group(shards_.size(), false);
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    if (shards_[i]->wal_group_open()) continue;
+    shards_[i]->wal_begin_group();
+    opened_group[i] = true;
   }
 
   // Apply in ascending transaction-id order, exactly as the unsealed path
   // always has; a sealed batch's rerun fires lazily at its first pending
   // rule-3 member and the decision is reused for the rest.
   std::map<int64_t, Decision> batch_decisions;
-  for (TxnId txn : pending) {
-    const Resolution& resolution = resolutions.at(txn);
+  for (const auto& [txn, resolution] : resolutions) {
     Decision decision = resolution.decision;
     if (resolution.needs_rerun) {
-      const auto seal_it = seal_of.find(txn);
-      if (seal_it == seal_of.end()) {
+      if (!resolution.batch.has_value()) {
         ++report.reran_protocol;
         decision = rerun_decision(txn, resolution.prepared_shards);
       } else {
-        auto cached = batch_decisions.find(seal_it->second);
+        const int64_t batch = *resolution.batch;
+        auto cached = batch_decisions.find(batch);
         if (cached == batch_decisions.end()) {
-          // One rerun for the whole batch, over the union of its pending
-          // rule-3 members' prepared shards — the same participant set the
-          // live batched round ran over, minus members already settled by
-          // rules 1 and 2 (whose recorded outcomes stand on their own).
-          std::set<int32_t> union_shards;
-          for (const auto& [member, member_resolution] : resolutions) {
-            if (seal_of.count(member) == 0 ||
-                seal_of.at(member) != seal_it->second) {
-              continue;
-            }
-            if (!member_resolution.needs_rerun) continue;
-            union_shards.insert(member_resolution.prepared_shards.begin(),
-                                member_resolution.prepared_shards.end());
-          }
+          const std::set<int32_t>& union_shards = batch_shards.at(batch);
           ++report.reran_protocol;
           cached = batch_decisions
-                       .emplace(seal_it->second,
-                                rerun_decision(seal_it->second,
-                                               {union_shards.begin(),
-                                                union_shards.end()}))
+                       .emplace(batch, rerun_decision(batch, {union_shards.begin(),
+                                                              union_shards.end()}))
                        .first;
         }
         decision = cached->second;
       }
     }
     apply_decision(txn, decision, resolution.prepared_shards, report);
+  }
+
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    if (opened_group[i]) {
+      shards_[i]->wal_end_group();
+    } else {
+      shards_[i]->wal_commit_group();
+    }
   }
   return report;
 }

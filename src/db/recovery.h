@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "common/types.h"
@@ -50,12 +51,13 @@ struct RecoveryReport {
   bool operator==(const RecoveryReport&) const = default;
 };
 
-/// Every transaction's per-shard status, built from ONE WAL replay per shard
-/// — the multi-shot recovery path. With millions of in-doubt instances per
-/// shard, the per-transaction survey (one replay per transaction per shard)
-/// is quadratic; this index is linear in total WAL bytes and each in-doubt
-/// instance is then resolved from the index with its own deterministic
-/// protocol rerun.
+/// Every transaction's per-shard status, built from ONE read-only WAL replay
+/// per shard — the multi-shot recovery path. With millions of in-doubt
+/// instances per shard, the per-transaction survey (one replay per
+/// transaction per shard) is quadratic; this index is linear in total WAL
+/// bytes. resolve_all then settles each in-doubt instance from the index in
+/// O(log n) index and store lookups, plus one deterministic protocol rerun
+/// per sealed batch or unsealed rule-3 instance.
 struct BatchSurvey {
   /// statuses[shard][txn]; transactions a shard never saw are absent
   /// (ShardTxnStatus::kUnknown).
@@ -96,11 +98,15 @@ class RecoveryManager {
   /// in the constructor's `shards` vector.
   [[nodiscard]] std::map<int32_t, ShardTxnStatus> survey(TxnId txn) const;
 
-  /// One WAL replay per shard, indexing every transaction at once.
+  /// One read-only replay per shard through the store's own WAL, indexing
+  /// every transaction at once. Sees only flushed records.
   [[nodiscard]] BatchSurvey survey_all() const;
 
   /// Resolves every in-doubt transaction on every shard, in ascending
-  /// transaction-id order, from a single batch survey. Idempotent.
+  /// transaction-id order, from a single batch survey. Idempotent. Outcome
+  /// records are group-committed per shard and flushed before it returns,
+  /// so every outcome is durable once it returns; each store's group mode
+  /// is left as it was found.
   RecoveryReport resolve_all();
 
  private:
@@ -111,6 +117,8 @@ class RecoveryManager {
     Decision decision = Decision::kAbort;
     bool needs_rerun = false;
     std::vector<int32_t> prepared_shards;
+    /// A rule-3 member's recorded seal: the batch whose one rerun decides it.
+    std::optional<int64_t> batch;
   };
 
   /// Rules 1 and 2 against the index; flags rule-3 transactions for a rerun.

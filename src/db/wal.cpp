@@ -41,15 +41,23 @@ WalRecord decode_record(std::span<const uint8_t> body) {
 struct WalScan {
   std::vector<WalRecord> records;
   size_t valid_end = 0;
+  size_t file_size = 0;
 };
 
 WalScan scan_wal(const std::filesystem::path& path) {
   WalScan scan;
+  std::error_code ec;
+  const auto size = std::filesystem::file_size(path, ec);
+  if (ec || size == 0) return scan;
+  scan.file_size = static_cast<size_t>(size);
   std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) return scan;
 
-  std::vector<uint8_t> file_bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
+  // One sized read of the whole file.
+  std::vector<uint8_t> file_bytes(scan.file_size);
+  in.read(reinterpret_cast<char*>(file_bytes.data()),
+          static_cast<std::streamsize>(file_bytes.size()));
+  file_bytes.resize(static_cast<size_t>(in.gcount()));
   size_t pos = 0;
   while (pos + 8 <= file_bytes.size()) {
     BufReader header(std::span<const uint8_t>(file_bytes.data() + pos, 8));
@@ -126,21 +134,28 @@ std::vector<int64_t> decode_txn_list(const std::string& text) {
 }
 
 WriteAheadLog::WriteAheadLog(std::filesystem::path path) : path_(std::move(path)) {
+  scan_and_open();
+}
+
+WriteAheadLog::WriteAheadLog(std::filesystem::path path,
+                             std::vector<WalRecord>& recovered)
+    : path_(std::move(path)) {
+  recovered = scan_and_open();
+}
+
+std::vector<WalRecord> WriteAheadLog::scan_and_open() {
   // Replay stops at the first torn/corrupt frame and trusts nothing after it
   // — so anything appended after such a frame would be unreachable forever.
   // Make the distrust durable: truncate the invalid tail before appending.
   // (The crash-point torture suite caught exactly this: recovery's COMMIT
   // record landing after a torn frame, lost on the next open.)
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(path_, ec);
-  if (!ec && size > 0) {
-    const WalScan scan = scan_wal(path_);
-    if (scan.valid_end < size) {
-      std::filesystem::resize_file(path_, scan.valid_end);
-    }
+  WalScan scan = scan_wal(path_);
+  if (scan.valid_end < scan.file_size) {
+    std::filesystem::resize_file(path_, scan.valid_end);
   }
   out_.open(path_, std::ios::binary | std::ios::app);
   RCOMMIT_CHECK_MSG(out_.is_open(), "cannot open WAL at " << path_.string());
+  return std::move(scan.records);
 }
 
 void WriteAheadLog::append(const WalRecord& record) {

@@ -134,8 +134,14 @@ struct WalGroupLimits {
 
 class WriteAheadLog {
  public:
-  /// Opens (creating if absent) the log at `path` for appending.
+  /// Opens (creating if absent) the log at `path` for appending. The open
+  /// scans the file once and truncates a torn or corrupt tail, so appends
+  /// always extend the trusted prefix.
   explicit WriteAheadLog(std::filesystem::path path);
+  /// Same open, and hands back that scan's records — exactly what replay()
+  /// returns afterwards — so an owner rebuilding its state from the log
+  /// (KvStore) reads the file once instead of twice.
+  WriteAheadLog(std::filesystem::path path, std::vector<WalRecord>& recovered);
 
   /// Appends one record, framed and checksummed. Outside group mode the
   /// frame is written and flushed immediately, with the installed fault
@@ -172,6 +178,8 @@ class WriteAheadLog {
   /// trustworthy, everything after is garbage from an interrupted append.
   /// A frame whose CRC matches but whose type byte is outside WalRecordType
   /// is treated the same way: recovery rejects it and trusts nothing after.
+  /// Read-only: it neither truncates nor reopens the file, and sees only
+  /// what has been flushed (a pending group is invisible to it).
   [[nodiscard]] std::vector<WalRecord> replay() const;
 
   /// Installs (or clears, with nullptr) the per-append fault hook. Non-owning.
@@ -184,6 +192,9 @@ class WriteAheadLog {
   [[nodiscard]] const WalStats& stats() const { return stats_; }
 
  private:
+  /// Scans the file, truncates the distrusted tail and opens the append
+  /// handle; returns the scan's records.
+  std::vector<WalRecord> scan_and_open();
   /// Writes `bytes` (one frame, or a whole pending group) through the fault
   /// hook and flushes. May throw CrashInjected per the hook's verdict.
   void write_frame(std::span<const uint8_t> bytes);

@@ -9,12 +9,14 @@
 
 #include "common/check.h"
 #include "common/codec.h"
+#include "common/json.h"
 #include "swarm/artifacts.h"
-#include "swarm/json.h"
 #include "swarm/pool.h"
 #include "swarm/shrink.h"
 
 namespace rcommit::swarm {
+
+using json::JsonWriter;
 
 namespace {
 

@@ -111,6 +111,74 @@ TEST(Wal, CorruptRecordStopsReplay) {
   }
 }
 
+TEST(Wal, OpenScanMatchesReplayAfterTruncation) {
+  // The open's single scan is what KvStore rebuilds from: its records must
+  // equal a later replay() on a clean end, a torn final frame and a
+  // CRC-corrupt middle frame, and the store must reflect exactly them.
+  const std::vector<WalRecord> log = {
+      {WalRecordType::kBegin, 1, "", ""},    {WalRecordType::kWrite, 1, "k1", "v1"},
+      {WalRecordType::kPrepared, 1, "", ""}, {WalRecordType::kBegin, 2, "", ""},
+      {WalRecordType::kWrite, 2, "k2", "v2"}, {WalRecordType::kPrepared, 2, "", ""},
+      {WalRecordType::kCommit, 1, "", ""},
+  };
+  enum class Damage { kNone, kTornFinalFrame, kCorruptMiddleFrame };
+  for (const Damage damage :
+       {Damage::kNone, Damage::kTornFinalFrame, Damage::kCorruptMiddleFrame}) {
+    TempDir dir;
+    const auto wal_path = dir.path() / "scan.wal";
+    std::vector<uintmax_t> frame_end;  // file size after each frame
+    {
+      WriteAheadLog wal(wal_path);
+      for (const auto& record : log) {
+        wal.append(record);
+        frame_end.push_back(fs::file_size(wal_path));
+      }
+    }
+    size_t intact = log.size();
+    if (damage == Damage::kTornFinalFrame) {
+      fs::resize_file(wal_path, frame_end.back() - 3);
+      intact = log.size() - 1;
+    } else if (damage == Damage::kCorruptMiddleFrame) {
+      // Flip a body byte of frame 4 (txn 2's write): frames 0-3 survive.
+      std::fstream file(wal_path, std::ios::binary | std::ios::in | std::ios::out);
+      const auto offset = static_cast<std::streamoff>(frame_end[3] + 8 + 1);
+      char byte = 0;
+      file.seekg(offset);
+      file.read(&byte, 1);
+      byte = static_cast<char>(byte ^ 0x40);
+      file.seekp(offset);
+      file.write(&byte, 1);
+      intact = 4;
+    }
+
+    std::vector<WalRecord> opened;
+    {
+      WriteAheadLog wal(wal_path, opened);
+      EXPECT_EQ(opened, wal.replay());
+    }
+    EXPECT_EQ(opened, std::vector<WalRecord>(log.begin(), log.begin() +
+                                                           static_cast<ptrdiff_t>(intact)));
+    EXPECT_EQ(fs::file_size(wal_path), frame_end[intact - 1]);  // tail truncated
+
+    KvStore store(wal_path);
+    switch (damage) {
+      case Damage::kNone:
+        EXPECT_EQ(store.get("k1"), "v1");
+        EXPECT_EQ(store.in_doubt(), std::vector<TxnId>{2});
+        break;
+      case Damage::kTornFinalFrame:
+        EXPECT_EQ(store.get("k1"), std::nullopt);
+        EXPECT_EQ(store.in_doubt(), (std::vector<TxnId>{1, 2}));
+        break;
+      case Damage::kCorruptMiddleFrame:
+        EXPECT_EQ(store.in_doubt(), std::vector<TxnId>{1});  // txn 2 never prepared
+        break;
+    }
+    EXPECT_TRUE(store.is_in_doubt(store.in_doubt().front()));
+    EXPECT_FALSE(store.is_in_doubt(3));
+  }
+}
+
 // --- WAL group commit ------------------------------------------------------------
 
 /// Records every on_append consult and executes a scripted disposition for

@@ -4,6 +4,12 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <memory>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/codec.h"
 #include "db/kv.h"
@@ -424,6 +430,172 @@ TEST_F(RecoveryFixture, SurveyReportsPerShardStatus) {
   EXPECT_EQ(statuses.at(0), ShardTxnStatus::kCommitted);
   EXPECT_EQ(statuses.at(1), ShardTxnStatus::kPrepared);
   EXPECT_EQ(statuses.at(2), ShardTxnStatus::kStagedOnly);
+}
+
+// --- grouped outcome records --------------------------------------------------------
+
+/// Leaves in doubt on shards 0 and 1 one sealed rule-3 batch (10, 11), one
+/// unsealed rule-3 instance (12), one rule-1 instance (13, committed on shard
+/// 0 only) and one rule-2 instance (14, shard 1 never prepared). Shard 2 holds
+/// only committed state, so recovery never touches it.
+void write_mixed_in_doubt(const fs::path& dir) {
+  KvStore shard0(dir / "shard-0.wal");
+  KvStore shard1(dir / "shard-1.wal");
+  KvStore shard2(dir / "shard-2.wal");
+  ASSERT_TRUE(shard2.prepare(1, {{"z", "Z"}}));
+  shard2.commit(1);
+  for (const TxnId txn : {10, 11, 12, 13}) {
+    const std::string tag = std::to_string(txn);
+    ASSERT_TRUE(shard0.prepare(txn, {{"a" + tag, "A" + tag}}, {0, 1}));
+    ASSERT_TRUE(shard1.prepare(txn, {{"b" + tag, "B" + tag}}, {0, 1}));
+  }
+  ASSERT_TRUE(shard0.prepare(14, {{"a14", "A14"}}, {0, 1}));
+  shard0.seal_batch(10, {10, 11});
+  shard1.seal_batch(10, {10, 11});
+  shard0.commit(13);
+}
+
+std::vector<std::unique_ptr<KvStore>> open_shards(const fs::path& dir) {
+  std::vector<std::unique_ptr<KvStore>> stores;
+  for (int shard = 0; shard < 3; ++shard) {
+    stores.push_back(
+        std::make_unique<KvStore>(dir / ("shard-" + std::to_string(shard) + ".wal")));
+  }
+  return stores;
+}
+
+std::vector<KvStore*> pointers(const std::vector<std::unique_ptr<KvStore>>& stores) {
+  std::vector<KvStore*> out;
+  for (const auto& store : stores) out.push_back(store.get());
+  return out;
+}
+
+TEST_F(RecoveryFixture, GroupedOutcomesFlushOncePerTouchedShardAndAreDurable) {
+  write_mixed_in_doubt(dir_);
+  const auto stores = open_shards(dir_);
+  std::vector<int64_t> flushes_before;
+  for (const auto& store : stores) flushes_before.push_back(store->wal_stats().flushes);
+
+  RecoveryManager recovery(pointers(stores), {.seed = 5});
+  const auto report = recovery.resolve_all();
+  EXPECT_EQ(report.resolved_commit, 4);  // 10, 11, 12 rerun; 13 adopted
+  EXPECT_EQ(report.resolved_abort, 1);   // 14
+  EXPECT_EQ(report.reran_protocol, 2);   // batch 10, then 12
+  // Every outcome on a shard rides one group flush; shard 2 had none.
+  const std::vector<int64_t> expected_flushes = {1, 1, 0};
+  for (size_t i = 0; i < stores.size(); ++i) {
+    EXPECT_EQ(stores[i]->wal_stats().flushes - flushes_before[i], expected_flushes[i])
+        << "shard " << i;
+    EXPECT_FALSE(stores[i]->wal_group_open()) << "shard " << i;  // left as found
+  }
+
+  // The outcomes are on disk: fresh stores opened from the files agree.
+  const auto reopened = open_shards(dir_);
+  for (size_t i = 0; i < stores.size(); ++i) {
+    EXPECT_TRUE(reopened[i]->in_doubt().empty()) << "shard " << i;
+    EXPECT_EQ(reopened[i]->snapshot(), stores[i]->snapshot()) << "shard " << i;
+  }
+  EXPECT_EQ(reopened[1]->get("b12"), "B12");
+  EXPECT_EQ(reopened[0]->get("a14"), std::nullopt);
+}
+
+TEST_F(RecoveryFixture, OwnersOpenGroupStaysOpenWithOutcomesFlushed) {
+  write_mixed_in_doubt(dir_);
+  const auto stores = open_shards(dir_);
+  stores[0]->wal_begin_group();
+  const int64_t flushes_before = stores[0]->wal_stats().flushes;
+
+  RecoveryManager recovery(pointers(stores), {.seed = 5});
+  (void)recovery.resolve_all();
+  EXPECT_TRUE(stores[0]->wal_group_open());
+  EXPECT_FALSE(stores[1]->wal_group_open());
+  EXPECT_EQ(stores[0]->wal_stats().flushes - flushes_before, 1);
+  {
+    KvStore reopened(wal_path(0));
+    EXPECT_TRUE(reopened.in_doubt().empty());
+    EXPECT_EQ(reopened.snapshot(), stores[0]->snapshot());
+  }
+  stores[0]->wal_end_group();
+}
+
+/// Crashes at the first physical write to one WAL, with a scripted kind.
+class CrashAtPathHook : public WalFaultHook {
+ public:
+  CrashAtPathHook(fs::path target, WalAppendFault::Kind kind)
+      : target_(std::move(target)), kind_(kind) {}
+
+  WalAppendFault on_append(const fs::path& wal_path,
+                           std::span<const uint8_t> frame) override {
+    WalAppendFault fault;
+    if (wal_path != target_ || fired_) return fault;
+    fired_ = true;
+    fault.kind = kind_;
+    fault.keep_bytes = frame.size() / 2;
+    fault.site = 0;
+    return fault;
+  }
+
+ private:
+  fs::path target_;
+  WalAppendFault::Kind kind_;
+  bool fired_ = false;
+};
+
+TEST_F(RecoveryFixture, CrashInRecoveryGroupedFlushIsHarmless) {
+  // Buffered outcomes lost to a crash are never observed, and the rerun is
+  // deterministic: resolving again from disk — after shard 0's group landed
+  // and shard 1's did not — must reach the uncrashed resolve's outcomes.
+  const fs::path reference_dir = dir_ / "reference";
+  fs::create_directories(reference_dir);
+  write_mixed_in_doubt(reference_dir);
+  std::vector<std::map<std::string, std::string>> expected;
+  {
+    const auto stores = open_shards(reference_dir);
+    RecoveryManager recovery(pointers(stores), {.seed = 5});
+    (void)recovery.resolve_all();
+    for (const auto& store : stores) expected.push_back(store->snapshot());
+  }
+
+  write_mixed_in_doubt(dir_);
+  for (const auto kind : {WalAppendFault::Kind::kCrashBefore, WalAppendFault::Kind::kTorn}) {
+    const auto stores = open_shards(dir_);
+    CrashAtPathHook hook(wal_path(1), kind);
+    for (const auto& store : stores) store->set_fault_hook(&hook);
+    RecoveryManager recovery(pointers(stores), {.seed = 5});
+    EXPECT_THROW((void)recovery.resolve_all(), CrashInjected);
+  }
+  {
+    const auto stores = open_shards(dir_);
+    EXPECT_TRUE(stores[0]->in_doubt().empty());  // its group landed first
+    // Shard 1's first group was lost whole; the torn one kept the first half
+    // of its four equal-sized outcome frames.
+    EXPECT_EQ(stores[1]->in_doubt(), (std::vector<TxnId>{12, 13}));
+    RecoveryManager recovery(pointers(stores), {.seed = 5});
+    (void)recovery.resolve_all();
+  }
+  const auto recovered = open_shards(dir_);
+  for (size_t i = 0; i < recovered.size(); ++i) {
+    EXPECT_TRUE(recovered[i]->in_doubt().empty()) << "shard " << i;
+    EXPECT_EQ(recovered[i]->snapshot(), expected[i]) << "shard " << i;
+  }
+}
+
+TEST_F(RecoveryFixture, SurveyAllReplaysReadOnly) {
+  // survey_all reads through each store's own log instead of opening a
+  // second WriteAheadLog, whose open would truncate a distrusted tail.
+  write_mixed_in_doubt(dir_);
+  const auto stores = open_shards(dir_);
+  {
+    std::ofstream out(wal_path(0), std::ios::binary | std::ios::app);
+    out.write("\x05\x00", 2);  // a torn header, appended behind the store's back
+  }
+  const auto size = fs::file_size(wal_path(0));
+  RecoveryManager recovery(pointers(stores), {});
+  const BatchSurvey survey = recovery.survey_all();
+  EXPECT_EQ(fs::file_size(wal_path(0)), size);
+  EXPECT_EQ(survey.status(0, 13), ShardTxnStatus::kCommitted);
+  EXPECT_EQ(survey.status(1, 13), ShardTxnStatus::kPrepared);
+  EXPECT_EQ(survey.batches.at(10), (std::vector<TxnId>{10, 11}));
 }
 
 }  // namespace
