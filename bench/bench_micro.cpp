@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark): the hot paths under the experiments —
-// codec round-trips, wire encode/decode, CRC, WAL appends, and raw simulator
+// codec round-trips, wire encode/decode, CRC, WAL appends (serial and
+// grouped), one shard's prepare+commit, and raw simulator
 // event throughput. These quantify the substrate costs so the protocol-level
 // numbers in E1-E14 can be read with the constant factors in mind.
 //
@@ -15,6 +16,7 @@
 #include "bench/harness.h"
 #include "common/codec.h"
 #include "common/rng.h"
+#include "db/kv.h"
 #include "db/wal.h"
 #include "protocol/commit.h"
 #include "protocol/messages.h"
@@ -74,6 +76,63 @@ void BM_WalAppend(benchmark::State& state) {
   fs::remove(path);
 }
 BENCHMARK(BM_WalAppend);
+
+/// Group-commit appends, as MultiShotDb issues them: records are framed in
+/// place into the pending buffer and reach the file one auto-flushed group
+/// (256 records) at a time, so this row is dominated by framing and CRC.
+void BM_WalAppendGroup(benchmark::State& state) {
+  namespace fs = std::filesystem;
+  const fs::path path = fs::temp_directory_path() /
+                        ("rcommit_bm_walgroup_" + std::to_string(::getpid()) + ".wal");
+  fs::remove(path);
+  {
+    db::WriteAheadLog wal(path);
+    wal.begin_group();
+    int64_t txn = 0;
+    for (auto _ : state) {
+      wal.append(db::WalRecordType::kWrite, ++txn, "key:123456789", "txn-1234567");
+    }
+    wal.end_group();
+  }
+  state.SetItemsProcessed(state.iterations());
+  fs::remove(path);
+}
+BENCHMARK(BM_WalAppendGroup);
+
+/// One shard's share of a pipelined transaction: KvStore::prepare of two
+/// writes (locks, BEGIN/WRITE/WRITE/PREPARED appends, staging) then commit
+/// (COMMIT append, install, unlock), under group commit. Keys cycle over a
+/// fixed set so the committed map stays one size.
+void BM_KvPrepareCommit(benchmark::State& state) {
+  namespace fs = std::filesystem;
+  const fs::path path = fs::temp_directory_path() /
+                        ("rcommit_bm_kv_" + std::to_string(::getpid()) + ".wal");
+  fs::remove(path);
+  constexpr size_t kSets = 1024;
+  std::vector<std::vector<db::KvWrite>> sets(kSets);
+  for (size_t i = 0; i < kSets; ++i) {
+    const std::string value = "txn-" + std::to_string(i);
+    sets[i] = {{"key:" + std::to_string(100000000 + 2 * i), value},
+               {"key:" + std::to_string(100000001 + 2 * i), value}};
+  }
+  const std::vector<int32_t> participants = {0, 1};
+  {
+    db::KvStore store(path);
+    store.wal_begin_group();
+    db::TxnId txn = 0;
+    for (auto _ : state) {
+      ++txn;
+      const bool prepared =
+          store.prepare(txn, sets[static_cast<size_t>(txn) % kSets], participants);
+      benchmark::DoNotOptimize(prepared);
+      store.commit(txn);
+    }
+    store.wal_end_group();
+  }
+  state.SetItemsProcessed(state.iterations());
+  fs::remove(path);
+}
+BENCHMARK(BM_KvPrepareCommit);
 
 void BM_SimulatorCommitRun(benchmark::State& state) {
   const auto n = static_cast<int32_t>(state.range(0));

@@ -1,5 +1,6 @@
 #include "common/json.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -96,9 +97,10 @@ void JsonWriter::value(uint64_t v) {
 
 void JsonWriter::value(double v) {
   comma_if_needed();
+  // Shortest text that parses back to exactly v: sub-microsecond timings
+  // keep their digits instead of rounding to 0.0000.
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.4f", v);
-  out_ += buf;
+  out_.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 void JsonWriter::value(bool v) {

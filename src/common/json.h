@@ -3,8 +3,8 @@
 // The writer started life in src/swarm (the swarm promises byte-identical
 // aggregate output across thread counts) and moved here when the benchmark
 // pipeline began emitting structured results too: explicit key order
-// (insertion order), fixed "%.4f" formatting for doubles, no locale
-// involvement, and full string escaping.
+// (insertion order), shortest round-trip formatting for doubles
+// (std::to_chars: deterministic and locale-free), and full string escaping.
 //
 // The parser is the read side of the same contract: a small recursive-descent
 // JSON reader for the documents this repo itself writes (bench results, swarm
@@ -60,7 +60,7 @@ class JsonWriter {
 };
 
 /// A parsed JSON document node. Numbers are kept as doubles (the writer
-/// emits "%.4f" anyway); as_int() checks the value is integral.
+/// emits doubles in round-trip form); as_int() checks the value is integral.
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };

@@ -29,7 +29,7 @@ KvStore::KvStore(const std::filesystem::path& wal_path) {
       case WalRecordType::kCommit: {
         auto it = staged_.find(record.txn_id);
         if (it != staged_.end()) {
-          apply(it->second);
+          apply(std::move(it->second));
           staged_.erase(it);
         }
         break;
@@ -56,8 +56,10 @@ KvStore::KvStore(const std::filesystem::path& wal_path) {
   }
 }
 
-void KvStore::apply(const Staged& staged) {
-  for (const auto& write : staged.writes) data_[write.key] = write.value;
+void KvStore::apply(Staged&& staged) {
+  for (auto& write : staged.writes) {
+    data_.insert_or_assign(std::move(write.key), std::move(write.value));
+  }
 }
 
 bool KvStore::prepare(TxnId txn, const std::vector<KvWrite>& writes,
@@ -65,17 +67,14 @@ bool KvStore::prepare(TxnId txn, const std::vector<KvWrite>& writes,
   RCOMMIT_CHECK_MSG(staged_.find(txn) == staged_.end(),
                     "transaction " << txn << " already staged");
   // Lock every key first; on any conflict, release and vote abort.
-  std::vector<std::string> keys;
-  keys.reserve(writes.size());
-  for (const auto& write : writes) keys.push_back(write.key);
-  if (!locks_.try_lock_all(keys, txn)) return false;
+  if (!locks_.try_lock_all(writes, txn, &KvWrite::key)) return false;
   try {
-    wal_->append({WalRecordType::kBegin, txn, "", ""});
+    wal_->append(WalRecordType::kBegin, txn, {}, {});
     for (const auto& write : writes) {
-      wal_->append({WalRecordType::kWrite, txn, write.key, write.value});
+      wal_->append(WalRecordType::kWrite, txn, write.key, write.value);
     }
-    wal_->append(
-        {WalRecordType::kPrepared, txn, "", encode_participant_list(participants)});
+    wal_->append(WalRecordType::kPrepared, txn, {},
+                 encode_participant_list(participants));
   } catch (...) {
     // The PREPARED record never became durable, so recovery will drop the
     // partial transaction as an unprepared leftover. Release the locks so a
@@ -84,7 +83,8 @@ bool KvStore::prepare(TxnId txn, const std::vector<KvWrite>& writes,
     locks_.unlock_all(txn);
     throw;
   }
-  staged_[txn] = Staged{writes, participants, /*prepared=*/true};
+  staged_.emplace_hint(staged_.end(), txn,
+                       Staged{writes, participants, /*prepared=*/true});
   return true;
 }
 
@@ -92,8 +92,10 @@ void KvStore::commit(TxnId txn) {
   auto it = staged_.find(txn);
   RCOMMIT_CHECK_MSG(it != staged_.end() && it->second.prepared,
                     "commit of unprepared transaction " << txn);
-  wal_->append({WalRecordType::kCommit, txn, "", ""});
-  apply(it->second);
+  wal_->append(WalRecordType::kCommit, txn, {}, {});
+  // The staged strings move into the committed map: the entry is erased
+  // right after, so nothing reads them again.
+  apply(std::move(it->second));
   staged_.erase(it);
   locks_.unlock_all(txn);
 }
@@ -104,7 +106,7 @@ void KvStore::abort(TxnId txn) {
   // transaction gone from memory while the log still says prepared — and a
   // retried abort() would silently skip the kAbort record.
   if (staged_.count(txn) > 0) {
-    wal_->append({WalRecordType::kAbort, txn, "", ""});
+    wal_->append(WalRecordType::kAbort, txn, {}, {});
     staged_.erase(txn);
   }
   locks_.unlock_all(txn);
@@ -148,7 +150,7 @@ bool KvStore::wal_group_open() const { return wal_->group_open(); }
 const WalStats& KvStore::wal_stats() const { return wal_->stats(); }
 
 void KvStore::seal_batch(int64_t batch_id, const std::vector<TxnId>& members) {
-  wal_->append({WalRecordType::kBatchSeal, batch_id, "", encode_txn_list(members)});
+  wal_->append(WalRecordType::kBatchSeal, batch_id, {}, encode_txn_list(members));
 }
 
 void KvStore::checkpoint() {
@@ -167,18 +169,18 @@ void KvStore::checkpoint() {
     WriteAheadLog fresh(tmp_path);
     fresh.set_fault_hook(fault_hook_);
     for (const auto& [key, value] : data_) {
-      fresh.append({WalRecordType::kSnapshot, 0, key, value});
+      fresh.append(WalRecordType::kSnapshot, 0, key, value);
     }
     // Carry pending (prepared, undecided) transactions forward so recovery
     // still surfaces them as in-doubt, participant lists included.
     for (const auto& [txn, staged] : staged_) {
-      fresh.append({WalRecordType::kBegin, txn, "", ""});
+      fresh.append(WalRecordType::kBegin, txn, {}, {});
       for (const auto& write : staged.writes) {
-        fresh.append({WalRecordType::kWrite, txn, write.key, write.value});
+        fresh.append(WalRecordType::kWrite, txn, write.key, write.value);
       }
       if (staged.prepared) {
-        fresh.append({WalRecordType::kPrepared, txn, "",
-                      encode_participant_list(staged.participants)});
+        fresh.append(WalRecordType::kPrepared, txn, {},
+                     encode_participant_list(staged.participants));
       }
     }
   }

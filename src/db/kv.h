@@ -107,7 +107,8 @@ class KvStore {
     bool prepared = false;
   };
 
-  void apply(const Staged& staged);
+  /// Installs a staged write set, moving its strings into data_.
+  void apply(Staged&& staged);
 
   std::unique_ptr<WriteAheadLog> wal_;
   WalGroupLimits group_limits_;  ///< last wal_begin_group limits (checkpoint)

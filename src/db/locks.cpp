@@ -3,22 +3,12 @@
 namespace rcommit::db {
 
 bool LockManager::try_lock(const std::string& key, TxnId txn) {
-  auto [it, inserted] = holders_.emplace(key, txn);
+  auto [it, inserted] = holders_.try_emplace(key, txn);
   if (!inserted && it->second != txn) {
     ++conflicts_;
     return false;
   }
-  keys_of_[txn].insert(key);
-  return true;
-}
-
-bool LockManager::try_lock_all(const std::vector<std::string>& keys, TxnId txn) {
-  for (const auto& key : keys) {
-    if (!try_lock(key, txn)) {
-      unlock_all(txn);
-      return false;
-    }
-  }
+  if (inserted) keys_of_[txn].push_back(key);
   return true;
 }
 

@@ -7,10 +7,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace rcommit::db {
@@ -24,13 +24,25 @@ class LockManager {
   /// transaction holds it (no-wait policy).
   bool try_lock(const std::string& key, TxnId txn);
 
-  /// All-or-nothing acquisition of every key in `writes` for `txn`: on the
-  /// first conflict, every lock taken by this call (and any the transaction
-  /// already held) is released and false is returned. This is the
-  /// deterministic abort-on-conflict primitive the multi-shot engine builds
-  /// on — which transaction loses depends only on arrival order at this
-  /// shard, never on timing races inside the acquisition itself.
-  bool try_lock_all(const std::vector<std::string>& keys, TxnId txn);
+  /// All-or-nothing acquisition of the key of every element of `items` for
+  /// `txn` (`key_of` projects an element to its key; by default the element
+  /// is the key): on the first conflict, every lock taken by this call (and
+  /// any the transaction already held) is released and false is returned.
+  /// This is the deterministic abort-on-conflict primitive the multi-shot
+  /// engine builds on — which transaction loses depends only on arrival
+  /// order at this shard, never on timing races inside the acquisition
+  /// itself. KvStore locks straight from its write set with
+  /// `try_lock_all(writes, txn, &KvWrite::key)`.
+  template <typename Range, typename KeyOf = std::identity>
+  bool try_lock_all(const Range& items, TxnId txn, KeyOf key_of = {}) {
+    for (const auto& item : items) {
+      if (!try_lock(std::invoke(key_of, item), txn)) {
+        unlock_all(txn);
+        return false;
+      }
+    }
+    return true;
+  }
 
   /// Releases every lock held by `txn` (end of its strict-2PL lifetime).
   void unlock_all(TxnId txn);
@@ -47,7 +59,9 @@ class LockManager {
 
  private:
   std::unordered_map<std::string, TxnId> holders_;
-  std::unordered_map<TxnId, std::unordered_set<std::string>> keys_of_;
+  /// Keys each transaction holds, each pushed once — on its first
+  /// acquisition — so a re-acquired key is not listed twice.
+  std::unordered_map<TxnId, std::vector<std::string>> keys_of_;
   int64_t conflicts_ = 0;
 };
 

@@ -4,25 +4,10 @@
 #include <set>
 #include <thread>
 
-#include "adversary/basic.h"
 #include "common/check.h"
-#include "sim/simulator.h"
 #include "transport/node.h"
 
 namespace rcommit::db {
-
-namespace {
-
-/// Per-instance seed: the same (seed, txn) mix RecoveryManager uses for its
-/// in-doubt rerun, so a crashed instance and a live one derive their decision
-/// rounds from the same stream. A decision batch mixes its batch id — the
-/// first member's txn id — through the same function, so a sealed batch's
-/// recovery rerun and its live round also share a stream.
-uint64_t instance_seed(uint64_t seed, TxnId txn) {
-  return seed ^ (static_cast<uint64_t>(txn) * 0x9e3779b97f4a7c15ULL);
-}
-
-}  // namespace
 
 MultiShotDb::MultiShotDb(Options options) : options_(std::move(options)) {
   RCOMMIT_CHECK(options_.shard_count >= 1);
@@ -121,7 +106,11 @@ TxnOutcome MultiShotDb::run_union_round(const std::vector<int32_t>& shards,
   const auto n = static_cast<int32_t>(shards.size());
   if (n == 1) return {Decision::kCommit, true};
 
-  const uint64_t seed = instance_seed(options_.seed, batch_id);
+  if (options_.decision_transport == DecisionTransport::kSimulator) {
+    return run_simulated_round(options_.backend, n, options_.k, options_.seed,
+                               batch_id, options_.max_events);
+  }
+
   const SystemParams params{.n = n, .t = (n - 1) / 2, .k = options_.k};
   std::vector<std::unique_ptr<sim::Process>> fleet;
   fleet.reserve(static_cast<size_t>(n));
@@ -129,29 +118,8 @@ TxnOutcome MultiShotDb::run_union_round(const std::vector<int32_t>& shards,
     fleet.push_back(make_commit_participant(options_.backend, params,
                                             /*vote=*/1, options_.k));
   }
-
-  TxnOutcome outcome;
-  std::vector<std::optional<Decision>> decisions;
-  if (options_.decision_transport == DecisionTransport::kSimulator) {
-    sim::SimConfig config;
-    config.seed = seed;
-    config.max_events = options_.max_events;
-    config.record_trace = false;
-    sim::Simulator simulator(config, std::move(fleet),
-                             adversary::make_on_time_adversary());
-    const auto result = simulator.run();
-    decisions = result.decisions;
-  } else {
-    decisions = run_threaded_round(std::move(fleet), seed);
-  }
-
-  outcome.decided = true;
-  outcome.decision = Decision::kAbort;
-  for (const auto& d : decisions) {
-    if (!d.has_value()) outcome.decided = false;
-    if (d.has_value() && *d == Decision::kCommit) outcome.decision = Decision::kCommit;
-  }
-  return outcome;
+  return round_outcome(
+      run_threaded_round(std::move(fleet), round_seed(options_.seed, batch_id)));
 }
 
 std::vector<std::optional<Decision>> MultiShotDb::run_threaded_round(

@@ -24,8 +24,10 @@
 //   kSimulator        the commit protocol runs on the deterministic simulator
 //                     under the on-time adversary, seeded by (seed, txn id) —
 //                     the exact rerun RecoveryManager performs for an
-//                     in-doubt instance, so a crashed instance recovers to
-//                     the same decision a live one would have reached. This
+//                     in-doubt instance (both call db::run_simulated_round,
+//                     which keeps one warm engine per thread), so a crashed
+//                     instance recovers to the same decision a live one
+//                     would have reached. This
 //                     makes single-driver pipelines pure functions of
 //                     (options, workload), which is what the multi-txn
 //                     crash-point torture sweep replays from.

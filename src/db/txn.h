@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/types.h"
@@ -40,6 +41,31 @@ struct TxnOutcome {
 std::unique_ptr<sim::Process> make_commit_participant(CommitBackend backend,
                                                       const SystemParams& params,
                                                       int vote, Tick k);
+
+/// Seed of the decision round for commit instance — or decision batch —
+/// `mix_id` under engine seed `seed`. MultiShotDb's live rounds and
+/// RecoveryManager's rule-3 reruns both draw from it, so a crashed instance
+/// reruns the very round its live twin ran and recovers to its decision.
+[[nodiscard]] uint64_t round_seed(uint64_t seed, int64_t mix_id);
+
+/// Folds one round's per-participant decisions into a transaction outcome:
+/// `decided` iff every participant decided; commit iff any decided commit.
+[[nodiscard]] TxnOutcome round_outcome(
+    const std::vector<std::optional<Decision>>& decisions);
+
+/// One decision round among `n` participants, all voting commit, on the
+/// deterministic simulator under the on-time adversary (Theorem 9's
+/// commit-validity conditions), seeded by round_seed(seed, mix_id) and capped
+/// at `max_events`, folded by round_outcome. A lone participant commits
+/// without a round.
+///
+/// Rounds run on a warm thread-local sim::BatchRunner with pooled payloads,
+/// so a steady stream of rounds reuses one engine's storage instead of
+/// building a Simulator per round. The outcome is byte-for-byte that of a
+/// fresh Simulator (tests/batch_equivalence_test.cpp).
+[[nodiscard]] TxnOutcome run_simulated_round(CommitBackend backend, int32_t n,
+                                             Tick k, uint64_t seed,
+                                             int64_t mix_id, int64_t max_events);
 
 class DistributedDb {
  public:

@@ -1,5 +1,9 @@
 #include "db/wal.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cstring>
+
 #include "common/check.h"
 #include "common/codec.h"
 
@@ -7,13 +11,52 @@ namespace rcommit::db {
 
 namespace {
 
-std::vector<uint8_t> encode_record(const WalRecord& record) {
-  BufWriter w;
-  w.u8(static_cast<uint8_t>(record.type));
-  w.svarint(record.txn_id);
-  w.str(record.key);
-  w.str(record.value);
-  return w.take();
+/// Upper bound on a record's framed size: header, type byte, and three
+/// varints of at most 10 bytes each around the key and value bytes.
+size_t max_frame_size(std::string_view key, std::string_view value) {
+  return 8 + 1 + 3 * 10 + key.size() + value.size();
+}
+
+uint8_t* put_varint(uint8_t* p, uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  *p++ = static_cast<uint8_t>(v);
+  return p;
+}
+
+uint8_t* put_str(uint8_t* p, std::string_view s) {
+  p = put_varint(p, s.size());
+  if (!s.empty()) std::memcpy(p, s.data(), s.size());
+  return p + s.size();
+}
+
+void put_le32(uint8_t* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+/// Appends one frame — [length][crc32c][type, svarint txn, key, value] —
+/// to `out`, byte-identical to BufWriter's encoding. The body is written in
+/// place and the header patched afterwards, so a warm `out` costs no
+/// allocation.
+void append_frame(std::vector<uint8_t>& out, WalRecordType type, int64_t txn,
+                  std::string_view key, std::string_view value) {
+  const size_t start = out.size();
+  out.resize(start + max_frame_size(key, value));
+  uint8_t* const head = out.data() + start;
+  uint8_t* const body = head + 8;
+  uint8_t* p = body;
+  *p++ = static_cast<uint8_t>(type);
+  // Zigzag, as BufWriter::svarint.
+  p = put_varint(p, (static_cast<uint64_t>(txn) << 1) ^
+                        static_cast<uint64_t>(txn >> 63));
+  p = put_str(p, key);
+  p = put_str(p, value);
+  const auto length = static_cast<size_t>(p - body);
+  put_le32(head, static_cast<uint32_t>(length));
+  put_le32(head + 4, crc32c(std::span<const uint8_t>(body, length)));
+  out.resize(start + 8 + length);
 }
 
 WalRecord decode_record(std::span<const uint8_t> body) {
@@ -77,60 +120,57 @@ WalScan scan_wal(const std::filesystem::path& path) {
   return scan;
 }
 
+template <typename Int>
+std::string encode_id_list(const std::vector<Int>& ids) {
+  std::string out;
+  char buf[24];
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (i > 0) out += ',';
+    const auto end = std::to_chars(buf, buf + sizeof(buf), ids[i]).ptr;
+    out.append(buf, end);
+  }
+  return out;
+}
+
+/// Parses comma-separated non-negative decimal ids in place. Every part must
+/// be a non-empty run of digits that fits Int: an empty part, a sign, a
+/// stray character or an out-of-range id throws CheckFailure.
+template <typename Int>
+std::vector<Int> decode_id_list(std::string_view text, const char* what) {
+  std::vector<Int> ids;
+  if (text.empty()) return ids;
+  const char* pos = text.data();
+  const char* const end = text.data() + text.size();
+  while (true) {
+    const char* const comma = std::find(pos, end, ',');
+    Int id{};
+    const auto [parsed_end, ec] = std::from_chars(pos, comma, id);
+    RCOMMIT_CHECK_MSG(pos != comma && *pos >= '0' && *pos <= '9' &&
+                          ec == std::errc() && parsed_end == comma,
+                      "malformed " << what << ": '" << text << "'");
+    ids.push_back(id);
+    if (comma == end) break;
+    pos = comma + 1;
+  }
+  return ids;
+}
+
 }  // namespace
 
 std::string encode_participant_list(const std::vector<int32_t>& ids) {
-  std::string out;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(ids[i]);
-  }
-  return out;
+  return encode_id_list(ids);
 }
 
-std::vector<int32_t> decode_participant_list(const std::string& text) {
-  std::vector<int32_t> ids;
-  if (text.empty()) return ids;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    const size_t comma = text.find(',', pos);
-    const std::string part =
-        text.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    RCOMMIT_CHECK_MSG(!part.empty() &&
-                          part.find_first_not_of("0123456789") == std::string::npos,
-                      "malformed participant list: '" << text << "'");
-    ids.push_back(static_cast<int32_t>(std::stol(part)));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return ids;
+std::vector<int32_t> decode_participant_list(std::string_view text) {
+  return decode_id_list<int32_t>(text, "participant list");
 }
 
 std::string encode_txn_list(const std::vector<int64_t>& ids) {
-  std::string out;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(ids[i]);
-  }
-  return out;
+  return encode_id_list(ids);
 }
 
-std::vector<int64_t> decode_txn_list(const std::string& text) {
-  std::vector<int64_t> ids;
-  if (text.empty()) return ids;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    const size_t comma = text.find(',', pos);
-    const std::string part =
-        text.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    RCOMMIT_CHECK_MSG(!part.empty() &&
-                          part.find_first_not_of("0123456789") == std::string::npos,
-                      "malformed txn list: '" << text << "'");
-    ids.push_back(std::stoll(part));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return ids;
+std::vector<int64_t> decode_txn_list(std::string_view text) {
+  return decode_id_list<int64_t>(text, "txn list");
 }
 
 WriteAheadLog::WriteAheadLog(std::filesystem::path path) : path_(std::move(path)) {
@@ -159,18 +199,13 @@ std::vector<WalRecord> WriteAheadLog::scan_and_open() {
 }
 
 void WriteAheadLog::append(const WalRecord& record) {
-  const auto body = encode_record(record);
-  BufWriter frame_writer;
-  frame_writer.u32(static_cast<uint32_t>(body.size()));
-  frame_writer.u32(crc32c(body));
-  const auto& frame_head = frame_writer.data();
-  std::vector<uint8_t> frame;
-  frame.reserve(frame_head.size() + body.size());
-  frame.insert(frame.end(), frame_head.begin(), frame_head.end());
-  frame.insert(frame.end(), body.begin(), body.end());
+  append(record.type, record.txn_id, record.key, record.value);
+}
 
+void WriteAheadLog::append(WalRecordType type, int64_t txn, std::string_view key,
+                           std::string_view value) {
   if (group_open_) {
-    pending_.insert(pending_.end(), frame.begin(), frame.end());
+    append_frame(pending_, type, txn, key, value);
     ++pending_records_;
     ++stats_.records_appended;
     // Deterministic auto-flush: the boundary depends only on the append
@@ -182,7 +217,9 @@ void WriteAheadLog::append(const WalRecord& record) {
     return;
   }
 
-  write_frame(std::span<const uint8_t>(frame));
+  scratch_.clear();
+  append_frame(scratch_, type, txn, key, value);
+  write_frame(std::span<const uint8_t>(scratch_));
   ++stats_.records_appended;
 }
 
@@ -250,11 +287,12 @@ void WriteAheadLog::flush_pending() {
   if (pending_.empty()) return;
   // Take the buffer before executing the hook's disposition: a crash verdict
   // unwinds out of write_frame, and the crashed group's bytes must be gone —
-  // a later flush replaying them would model a dead process writing.
-  const std::vector<uint8_t> group = std::move(pending_);
-  pending_.clear();
+  // a later flush replaying them would model a dead process writing. The
+  // swap hands pending_ the scratch buffer's capacity, so both stay warm.
+  scratch_.clear();
+  scratch_.swap(pending_);
   pending_records_ = 0;
-  write_frame(std::span<const uint8_t>(group));
+  write_frame(std::span<const uint8_t>(scratch_));
 }
 
 std::vector<WalRecord> WriteAheadLog::replay() const {

@@ -20,6 +20,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.h"
@@ -96,17 +97,19 @@ class WalFaultHook {
 /// byte-identical to the pre-participant-list record format, which is how
 /// legacy WALs and direct KvStore::prepare calls without a list stay valid.
 [[nodiscard]] std::string encode_participant_list(const std::vector<int32_t>& ids);
-/// Inverse of encode_participant_list; "" decodes to the empty list. Throws
-/// CheckFailure on malformed input (the record's CRC already passed, so a
-/// parse failure here is a logic bug, not corruption).
-[[nodiscard]] std::vector<int32_t> decode_participant_list(const std::string& text);
+/// Inverse of encode_participant_list; "" decodes to the empty list. Parses
+/// in place. Throws CheckFailure on malformed input — an empty part, a
+/// non-digit (a sign included) or an id outside int32 (the record's CRC
+/// already passed, so a parse failure here is a logic bug, not corruption).
+[[nodiscard]] std::vector<int32_t> decode_participant_list(std::string_view text);
 
 /// Encodes a kBatchSeal member list (64-bit instance ids, comma-separated
 /// decimal) into the record's value field. Same format family as the
 /// participant list, widened to the multi-shot txn-id space.
 [[nodiscard]] std::string encode_txn_list(const std::vector<int64_t>& ids);
-/// Inverse of encode_txn_list; "" decodes to the empty list.
-[[nodiscard]] std::vector<int64_t> decode_txn_list(const std::string& text);
+/// Inverse of encode_txn_list; "" decodes to the empty list. Same parsing
+/// and rejection rules as decode_participant_list, over int64 ids.
+[[nodiscard]] std::vector<int64_t> decode_txn_list(std::string_view text);
 
 /// Monotonic WAL counters. `records_appended` counts logical appends
 /// (buffered appends included); `flushes` counts physical write+flush calls,
@@ -149,6 +152,12 @@ class WriteAheadLog {
   /// Inside group mode the frame is buffered; it reaches the file — and the
   /// fault hook — at the next group flush.
   void append(const WalRecord& record);
+  /// Same append without a WalRecord: the frame is encoded straight into
+  /// the pending group buffer (or, outside group mode, a reused scratch
+  /// buffer), so a warm log appends without allocating. Byte-identical to
+  /// append(WalRecord{type, txn_id, key, value}).
+  void append(WalRecordType type, int64_t txn_id, std::string_view key,
+              std::string_view value);
 
   // --- group commit ----------------------------------------------------------
   //
@@ -208,6 +217,9 @@ class WriteAheadLog {
   bool group_open_ = false;
   WalGroupLimits limits_;
   std::vector<uint8_t> pending_;  ///< concatenated frames awaiting the flush
+  /// The frame being written: one serial frame, or the group flush_pending
+  /// swapped out of pending_. Reused so neither buffer gives up capacity.
+  std::vector<uint8_t> scratch_;
   int64_t pending_records_ = 0;
 };
 

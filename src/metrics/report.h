@@ -76,7 +76,7 @@ struct BenchResult {
 int claims_held(const BenchResult& result);
 
 /// Deterministic JSON for one BenchResult (single line framing, stable key
-/// order; doubles as "%.4f").
+/// order; doubles in shortest round-trip form).
 std::string to_json(const BenchResult& result);
 
 /// Parses a BenchResult back from its JSON form. Throws CheckFailure on a

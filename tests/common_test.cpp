@@ -224,6 +224,37 @@ TEST(Codec, Crc32cKnownVector) {
   EXPECT_EQ(crc32c(d), 0xe3069283u);
 }
 
+/// The textbook bit-at-a-time CRC-32C: the reference the slice-by-8
+/// implementation must match on every length and alignment.
+uint32_t crc32c_bitwise(std::span<const uint8_t> data) {
+  uint32_t crc = 0xffffffff;
+  for (uint8_t byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) ? (crc >> 1) ^ 0x82f63b78u : crc >> 1;
+    }
+  }
+  return crc ^ 0xffffffff;
+}
+
+TEST(Codec, Crc32cMatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0..300 cover empty input, tails shorter than one 8-byte slice,
+  // and many whole slices; offsets 0..7 cover every start alignment.
+  std::vector<uint8_t> buf(300 + 8);
+  uint32_t x = 0x12345678;
+  for (auto& byte : buf) {
+    x = x * 1664525u + 1013904223u;
+    byte = static_cast<uint8_t>(x >> 24);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
+      const std::span<const uint8_t> data(buf.data() + offset, len);
+      ASSERT_EQ(crc32c(data), crc32c_bitwise(data))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
 TEST(Codec, CrcDetectsSingleBitFlip) {
   std::vector<uint8_t> data = {1, 2, 3, 4, 5, 6, 7, 8};
   const uint32_t before = crc32c(data);

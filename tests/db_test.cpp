@@ -3,8 +3,11 @@
 // end-to-end distributed transactions over the threaded commit protocol.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 
 #include "common/check.h"
 #include "db/kv.h"
@@ -352,6 +355,164 @@ TEST(WalGroup, BatchSealRecordRoundTrips) {
   EXPECT_EQ(decode_txn_list(records[0].value), (std::vector<int64_t>{42, 43}));
 }
 
+// --- WAL golden bytes ---------------------------------------------------------
+//
+// The frame layout is the recovery contract: logs written by one build must
+// replay under every later one. These bytes were captured from the
+// BufWriter-based encoder before appends were framed in place; any change to
+// framing, varints, zigzag or the CRC shows up here as a byte diff.
+
+/// Records every frame span the WAL hands its fault hook, verbatim.
+class RecordingHook final : public WalFaultHook {
+ public:
+  WalAppendFault on_append(const fs::path& /*wal_path*/,
+                           std::span<const uint8_t> frame) override {
+    spans.emplace_back(frame.begin(), frame.end());
+    return {};
+  }
+  std::vector<std::vector<uint8_t>> spans;
+};
+
+/// Every WalRecordType, a negative txn id (zigzag), a 2^48 + 1 txn id
+/// (multi-byte varint), empty key and value, and a 200-byte value whose
+/// length needs a two-byte varint.
+std::vector<WalRecord> golden_script() {
+  std::string big;
+  for (int i = 0; i < 200; ++i) big += static_cast<char>('a' + i % 26);
+  const int64_t wide = (int64_t{1} << 48) + 1;
+  return {
+      {WalRecordType::kBegin, 1, "", ""},
+      {WalRecordType::kWrite, 1, "key:7", "txn-1"},
+      {WalRecordType::kWrite, 1, "", ""},
+      {WalRecordType::kWrite, 1, "big", big},
+      {WalRecordType::kPrepared, 1, "", "0,2,5"},
+      {WalRecordType::kCommit, 1, "", ""},
+      {WalRecordType::kBegin, -3, "", ""},
+      {WalRecordType::kWrite, -3, "k", "v"},
+      {WalRecordType::kPrepared, -3, "", ""},
+      {WalRecordType::kAbort, -3, "", ""},
+      {WalRecordType::kSnapshot, 0, "snap", "shot"},
+      {WalRecordType::kBatchSeal, wide, "",
+       std::to_string(wide) + "," + std::to_string(wide + 1)},
+  };
+}
+
+std::vector<uint8_t> golden_bytes() {
+  const std::string hex =
+    "0400000072b34dda010200000e000000206d4e700202056b65793a370574786e2d310400"
+    "00004b3a6fb802020000d00000009a73f569020203626967c8016162636465666768696a"
+    "6b6c6d6e6f707172737475767778797a6162636465666768696a6b6c6d6e6f7071727374"
+    "75767778797a6162636465666768696a6b6c6d6e6f707172737475767778797a61626364"
+    "65666768696a6b6c6d6e6f707172737475767778797a6162636465666768696a6b6c6d6e"
+    "6f707172737475767778797a6162636465666768696a6b6c6d6e6f707172737475767778"
+    "797a6162636465666768696a6b6c6d6e6f707172737475767778797a6162636465666768"
+    "696a6b6c6d6e6f70717209000000e898b0d403020005302c322c350400000039282a7c04"
+    "020000040000001bd7bdae0105000006000000040972390205016b0176040000009af4da"
+    "110305000004000000e8e69fd5050500000c00000083da02a2060004736e61700473686f"
+    "742a000000e85ce65e078280808080808001001f3238313437343937363731303635372c"
+    "323831343734393736373130363538";
+  std::vector<uint8_t> bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<uint8_t>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return bytes;
+}
+
+std::vector<uint8_t> file_bytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Writes the golden script (grouped when `limits` is set), then checks the
+/// file against the golden bytes and each hook span against its slice of
+/// them; `span_sizes` pins where the flushes fell.
+void expect_golden(const fs::path& path, const std::optional<WalGroupLimits>& limits,
+                   const std::vector<size_t>& span_sizes) {
+  RecordingHook hook;
+  {
+    WriteAheadLog wal(path);
+    wal.set_fault_hook(&hook);
+    if (limits.has_value()) wal.begin_group(*limits);
+    for (const auto& record : golden_script()) wal.append(record);
+    if (limits.has_value()) wal.end_group();
+  }
+  const std::vector<uint8_t> golden = golden_bytes();
+  ASSERT_EQ(golden.size(), 411u);
+  EXPECT_EQ(file_bytes(path), golden);
+  ASSERT_EQ(hook.spans.size(), span_sizes.size());
+  size_t offset = 0;
+  for (size_t i = 0; i < hook.spans.size(); ++i) {
+    ASSERT_EQ(hook.spans[i].size(), span_sizes[i]) << "span " << i;
+    ASSERT_LE(offset + span_sizes[i], golden.size());
+    EXPECT_TRUE(std::equal(hook.spans[i].begin(), hook.spans[i].end(),
+                           golden.begin() + static_cast<ptrdiff_t>(offset)))
+        << "span " << i;
+    offset += span_sizes[i];
+  }
+  EXPECT_EQ(offset, golden.size());
+  WriteAheadLog reopened(path);
+  EXPECT_EQ(reopened.replay(), golden_script());
+}
+
+TEST(WalGolden, SerialFramesMatchCapturedBytes) {
+  TempDir dir;
+  expect_golden(dir.path() / "serial.wal", std::nullopt,
+                {12, 22, 12, 216, 17, 12, 12, 14, 12, 12, 20, 50});
+}
+
+TEST(WalGolden, GroupFramesMatchCapturedBytesAcrossAutoFlush) {
+  TempDir dir;
+  WalGroupLimits limits;
+  limits.max_records = 5;  // auto-flushes after records 5 and 10
+  expect_golden(dir.path() / "group.wal", limits, {279, 62, 70});
+}
+
+TEST(WalGolden, StringViewAppendMatchesRecordAppend) {
+  TempDir dir;
+  {
+    WriteAheadLog wal(dir.path() / "views.wal");
+    for (const auto& record : golden_script()) {
+      wal.append(record.type, record.txn_id, record.key, record.value);
+    }
+  }
+  EXPECT_EQ(file_bytes(dir.path() / "views.wal"), golden_bytes());
+}
+
+// --- id lists ---------------------------------------------------------------------
+
+TEST(IdLists, ParticipantListParsesAndRejects) {
+  EXPECT_TRUE(decode_participant_list("").empty());
+  EXPECT_EQ(decode_participant_list("0,2,5"), (std::vector<int32_t>{0, 2, 5}));
+  EXPECT_EQ(decode_participant_list("2147483647"), (std::vector<int32_t>{2147483647}));
+  EXPECT_THROW((void)decode_participant_list("1,,2"), CheckFailure);
+  EXPECT_THROW((void)decode_participant_list("-1"), CheckFailure);
+  EXPECT_THROW((void)decode_participant_list("2147483648"), CheckFailure);
+  EXPECT_THROW((void)decode_participant_list("1,"), CheckFailure);
+  EXPECT_THROW((void)decode_participant_list(",1"), CheckFailure);
+  EXPECT_THROW((void)decode_participant_list("+1"), CheckFailure);
+  EXPECT_THROW((void)decode_participant_list("1a"), CheckFailure);
+  EXPECT_THROW((void)decode_participant_list(" 1"), CheckFailure);
+}
+
+TEST(IdLists, TxnListParsesAndRejects) {
+  EXPECT_TRUE(decode_txn_list("").empty());
+  EXPECT_EQ(decode_txn_list("0,2,5"), (std::vector<int64_t>{0, 2, 5}));
+  // 2^31 is out of range for a participant id but a valid instance id.
+  EXPECT_EQ(decode_txn_list("2147483648"), (std::vector<int64_t>{2147483648}));
+  EXPECT_EQ(decode_txn_list("9223372036854775807"),
+            (std::vector<int64_t>{9223372036854775807}));
+  EXPECT_THROW((void)decode_txn_list("1,,2"), CheckFailure);
+  EXPECT_THROW((void)decode_txn_list("-1"), CheckFailure);
+  EXPECT_THROW((void)decode_txn_list("9223372036854775808"), CheckFailure);
+}
+
+TEST(IdLists, EncodeRoundTrips) {
+  const std::vector<int32_t> shards = {0, 7, 2147483647};
+  EXPECT_EQ(encode_participant_list(shards), "0,7,2147483647");
+  EXPECT_EQ(decode_participant_list(encode_participant_list(shards)), shards);
+  EXPECT_EQ(encode_participant_list({}), "");
+}
+
 // --- locks -----------------------------------------------------------------------
 
 TEST(Locks, ExclusiveAcquisition) {
@@ -382,6 +543,55 @@ TEST(Locks, UnlockAllReleasesEverything) {
 TEST(Locks, UnlockAllUnknownTxnIsNoop) {
   LockManager locks;
   locks.unlock_all(99);
+  EXPECT_EQ(locks.locked_count(), 0u);
+}
+
+TEST(Locks, DuplicateKeyInOneWriteSetIsHeldOnce) {
+  LockManager locks;
+  const std::vector<std::string> keys = {"a", "b", "a", "b", "a"};
+  ASSERT_TRUE(locks.try_lock_all(keys, 1));
+  EXPECT_EQ(locks.locked_count(), 2u);
+  EXPECT_EQ(locks.conflicts(), 0);
+  locks.unlock_all(1);
+  EXPECT_EQ(locks.locked_count(), 0u);
+  EXPECT_EQ(locks.holder("a"), std::nullopt);
+  // A second unlock finds nothing left to release.
+  locks.unlock_all(1);
+  EXPECT_EQ(locks.locked_count(), 0u);
+}
+
+TEST(Locks, MidSetConflictReleasesEveryKeyTheCallTook) {
+  LockManager locks;
+  ASSERT_TRUE(locks.try_lock("c", 2));
+  const std::vector<std::string> keys = {"a", "b", "c", "d"};
+  EXPECT_FALSE(locks.try_lock_all(keys, 1));
+  EXPECT_EQ(locks.conflicts(), 1);
+  // "a" and "b" were taken before the conflict and are released; "d" was
+  // never reached; "c" stays with its holder.
+  EXPECT_EQ(locks.holder("a"), std::nullopt);
+  EXPECT_EQ(locks.holder("b"), std::nullopt);
+  EXPECT_EQ(locks.holder("d"), std::nullopt);
+  EXPECT_EQ(locks.holder("c"), 2);
+  EXPECT_EQ(locks.locked_count(), 1u);
+  locks.unlock_all(1);  // nothing left for txn 1
+  EXPECT_EQ(locks.locked_count(), 1u);
+  locks.unlock_all(2);
+  EXPECT_EQ(locks.locked_count(), 0u);
+  // The released keys are free for the loser's retry.
+  ASSERT_TRUE(locks.try_lock_all(keys, 1));
+  EXPECT_EQ(locks.locked_count(), 4u);
+  locks.unlock_all(1);
+  EXPECT_EQ(locks.locked_count(), 0u);
+}
+
+TEST(Locks, TryLockAllProjectsKeysFromWrites) {
+  LockManager locks;
+  const std::vector<KvWrite> writes = {{"x", "1"}, {"y", "2"}, {"x", "3"}};
+  ASSERT_TRUE(locks.try_lock_all(writes, 5, &KvWrite::key));
+  EXPECT_EQ(locks.holder("x"), 5);
+  EXPECT_EQ(locks.holder("y"), 5);
+  EXPECT_EQ(locks.locked_count(), 2u);
+  locks.unlock_all(5);
   EXPECT_EQ(locks.locked_count(), 0u);
 }
 

@@ -1,7 +1,7 @@
 // Round-trip tests for the deterministic JSON writer/parser pair and the
 // BenchResult serialization built on it. The writer's byte-stability contract
-// (key order, "%.4f" doubles) is what makes BENCH_RESULTS.json diffable; the
-// parser is the read side the benchkit tools depend on.
+// (key order, shortest round-trip doubles) is what makes BENCH_RESULTS.json
+// diffable; the parser is the read side the benchkit tools depend on.
 #include <gtest/gtest.h>
 
 #include "common/check.h"
@@ -28,7 +28,7 @@ TEST(JsonWriter, ObjectArrayScalars) {
   w.end_object();
 
   EXPECT_EQ(w.str(),
-            "{\"name\":\"bench\",\"count\":42,\"rate\":0.2500,\"on\":true,"
+            "{\"name\":\"bench\",\"count\":42,\"rate\":0.25,\"on\":true,"
             "\"items\":[1,2]}");
 
   const auto v = json::parse(w.str());
@@ -38,6 +38,23 @@ TEST(JsonWriter, ObjectArrayScalars) {
   EXPECT_TRUE(v.at("on").as_bool());
   ASSERT_EQ(v.at("items").size(), 2u);
   EXPECT_EQ(v.at("items").at(1).as_int(), 2);
+}
+
+TEST(JsonWriter, DoublesUseShortestRoundTripForm) {
+  json::JsonWriter w;
+  w.begin_array();
+  for (const double v : {2.5e-07, 1.0, 0.1, 123456.789, -0.5, 1e21}) w.value(v);
+  w.end_array();
+  EXPECT_EQ(w.str(), "[2.5e-07,1,0.1,123456.789,-0.5,1e+21]");
+  // Every double survives the writer -> parser trip bit for bit, so a
+  // sub-microsecond bench timing no longer collapses to 0.
+  const auto v = json::parse(w.str());
+  EXPECT_EQ(v.at(0).as_double(), 2.5e-07);
+  EXPECT_EQ(v.at(3).as_double(), 123456.789);
+  const double third = 1.0 / 3.0;
+  json::JsonWriter one;
+  one.value(third);
+  EXPECT_EQ(json::parse(one.str()).as_double(), third);
 }
 
 TEST(JsonWriter, EscapedStringsSurviveRoundTrip) {

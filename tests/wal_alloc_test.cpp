@@ -1,0 +1,193 @@
+// Heap-allocation and crash-isolation checks for the WAL's in-place framing.
+//
+// This TU replaces global operator new/delete with counting wrappers (the
+// same instrumentation bench_simperf uses; nothing else links it), so it can
+// assert that a warm log appends without touching the allocator: group-mode
+// appends encode straight into the pending buffer, and serial appends into a
+// reused scratch buffer. It also pins the crash semantics the buffer reuse
+// must keep — a group dropped by a kCrashBefore verdict never leaks into a
+// later group's bytes.
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "db/wal.h"
+
+// The replacement operators below pair malloc with free by design; GCC's
+// inlining-based new/delete matcher cannot see that pairing and misfires at
+// call sites inlined into this TU.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+namespace {
+uint64_t g_heap_allocs = 0;  // single-threaded test; no atomics needed
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++g_heap_allocs;
+  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++g_heap_allocs;
+  return std::malloc(size != 0 ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+
+namespace rcommit::db {
+namespace {
+
+namespace fs = std::filesystem;
+
+class TempDir {
+ public:
+  TempDir() {
+    static int counter = 0;
+    path_ = fs::temp_directory_path() /
+            ("rcommit_wal_alloc_test_" + std::to_string(::getpid()) + "_" +
+             std::to_string(counter++));
+    fs::create_directories(path_);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    fs::remove_all(path_, ec);
+  }
+  [[nodiscard]] const fs::path& path() const { return path_; }
+
+ private:
+  fs::path path_;
+};
+
+std::vector<uint8_t> file_bytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Answers `first` on the first consult and kClean afterwards, recording
+/// every frame span it is shown.
+class ScriptedHook final : public WalFaultHook {
+ public:
+  explicit ScriptedHook(WalAppendFault::Kind first) : first_(first) {}
+  WalAppendFault on_append(const fs::path& /*wal_path*/,
+                           std::span<const uint8_t> frame) override {
+    spans.emplace_back(frame.begin(), frame.end());
+    WalAppendFault fault;
+    if (spans.size() == 1) fault.kind = first_;
+    return fault;
+  }
+  std::vector<std::vector<uint8_t>> spans;
+
+ private:
+  WalAppendFault::Kind first_;
+};
+
+// A key and value past the small-string buffer, like the engine's
+// "key:<rank>" / "txn-<counter>" writes grown to realistic lengths.
+const std::string kKey = "key:000000123456789";
+const std::string kValue = "txn-000000000000042-value";
+
+TEST(WalAlloc, GroupAppendIsAllocationFreeOnceWarm) {
+  TempDir dir;
+  WriteAheadLog wal(dir.path() / "group.wal");
+  WalGroupLimits limits;
+  limits.max_records = 16;
+  wal.begin_group(limits);
+  // Warm-up: two full groups, so both the pending buffer and the buffer the
+  // flush swaps it with have reached a group's size.
+  for (int64_t txn = 1; txn <= 2 * limits.max_records; ++txn) {
+    wal.append(WalRecordType::kWrite, txn, kKey, kValue);
+  }
+  const int64_t flushes_before = wal.stats().flushes;
+  constexpr int64_t kRecords = 1024;
+  const uint64_t allocs_before = g_heap_allocs;
+  for (int64_t txn = 1; txn <= kRecords; ++txn) {
+    wal.append(WalRecordType::kWrite, txn, kKey, kValue);
+  }
+  const uint64_t allocs = g_heap_allocs - allocs_before;
+  // The window crossed many auto-flushes, so the swap is covered too.
+  EXPECT_EQ(wal.stats().flushes - flushes_before, kRecords / limits.max_records);
+  EXPECT_EQ(allocs, 0u) << "heap allocations over " << kRecords << " grouped appends";
+  wal.end_group();
+  WriteAheadLog reopened(dir.path() / "group.wal");
+  EXPECT_EQ(reopened.replay().size(),
+            static_cast<size_t>(kRecords + 2 * limits.max_records));
+}
+
+TEST(WalAlloc, SerialAppendIsAllocationFreeOnceWarm) {
+  TempDir dir;
+  WriteAheadLog wal(dir.path() / "serial.wal");
+  wal.append(WalRecordType::kWrite, 1, kKey, kValue);  // warms the scratch buffer
+  const uint64_t allocs_before = g_heap_allocs;
+  for (int64_t txn = 2; txn <= 256; ++txn) {
+    wal.append(WalRecordType::kWrite, txn, kKey, kValue);
+  }
+  EXPECT_EQ(g_heap_allocs - allocs_before, 0u);
+}
+
+/// The frames of `count` kWrite records from txn `first` on, as a serial log
+/// writes them.
+std::vector<uint8_t> reference_frames(const fs::path& path, int64_t first,
+                                      int64_t count) {
+  {
+    WriteAheadLog reference(path);
+    for (int64_t txn = first; txn < first + count; ++txn) {
+      reference.append(WalRecordType::kWrite, txn, kKey, kValue);
+    }
+  }
+  return file_bytes(path);
+}
+
+TEST(WalAlloc, CrashBeforeGroupLeavesNoBytesInLaterGroups) {
+  TempDir dir;
+  const std::vector<uint8_t> group_b = reference_frames(dir.path() / "b.wal", 100, 3);
+  const std::vector<uint8_t> group_c = reference_frames(dir.path() / "c.wal", 200, 2);
+
+  const fs::path path = dir.path() / "crash.wal";
+  ScriptedHook hook(WalAppendFault::Kind::kCrashBefore);
+  {
+    WriteAheadLog wal(path);
+    wal.set_fault_hook(&hook);
+    wal.begin_group();
+    // Group A: larger than groups B and C, so any stale tail would show.
+    for (int64_t txn = 1; txn <= 8; ++txn) {
+      wal.append(WalRecordType::kWrite, txn, kKey, kValue);
+    }
+    EXPECT_THROW(wal.commit_group(), CrashInjected);
+    for (int64_t txn = 100; txn < 103; ++txn) {
+      wal.append(WalRecordType::kWrite, txn, kKey, kValue);
+    }
+    wal.commit_group();
+    // Two flushes after the crash: the buffers have swapped roles twice, so
+    // neither can still be carrying group A.
+    for (int64_t txn = 200; txn < 202; ++txn) {
+      wal.append(WalRecordType::kWrite, txn, kKey, kValue);
+    }
+    wal.end_group();
+  }
+  ASSERT_EQ(hook.spans.size(), 3u);
+  EXPECT_GT(hook.spans[0].size(), group_b.size());
+  // The hook saw groups B and C exactly — no byte of the crashed group A —
+  // and only they reached the file.
+  EXPECT_EQ(hook.spans[1], group_b);
+  EXPECT_EQ(hook.spans[2], group_c);
+  std::vector<uint8_t> expected = group_b;
+  expected.insert(expected.end(), group_c.begin(), group_c.end());
+  EXPECT_EQ(file_bytes(path), expected);
+}
+
+}  // namespace
+}  // namespace rcommit::db
