@@ -1,16 +1,20 @@
 // Micro-benchmarks (google-benchmark): the hot paths under the experiments —
 // codec round-trips, wire encode/decode, CRC, WAL appends (serial and
-// grouped), one shard's prepare+commit, and raw simulator
-// event throughput. These quantify the substrate costs so the protocol-level
-// numbers in E1-E14 can be read with the constant factors in mind.
+// grouped), one shard's prepare+commit (over a fixed key set and over
+// fresh keys), and raw simulator event throughput. These quantify the
+// substrate costs so the protocol-level numbers in E1-E14 can be read with
+// the constant factors in mind.
 //
 // Runs under the shared bench harness instead of BENCHMARK_MAIN so it speaks
 // the same flags and emits the same JSON artifact as the E-benches; each
 // google-benchmark result becomes one TimingSample (seconds per iteration).
 #include <benchmark/benchmark.h>
 
+#include <charconv>
 #include <filesystem>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "adversary/basic.h"
 #include "bench/harness.h"
@@ -102,7 +106,8 @@ BENCHMARK(BM_WalAppendGroup);
 /// One shard's share of a pipelined transaction: KvStore::prepare of two
 /// writes (locks, BEGIN/WRITE/WRITE/PREPARED appends, staging) then commit
 /// (COMMIT append, install, unlock), under group commit. Keys cycle over a
-/// fixed set so the committed map stays one size.
+/// fixed set of 2048, so after the first pass every key already has its
+/// slot in the store's key table and the table stays one size.
 void BM_KvPrepareCommit(benchmark::State& state) {
   namespace fs = std::filesystem;
   const fs::path path = fs::temp_directory_path() /
@@ -133,6 +138,50 @@ void BM_KvPrepareCommit(benchmark::State& state) {
   fs::remove(path);
 }
 BENCHMARK(BM_KvPrepareCommit);
+
+/// BM_KvPrepareCommit with keys that never repeat: each prepare creates two
+/// slots and the key table grows (and rehashes) as it does under the
+/// pipelined engine workload, where every epoch of 4096 transactions starts
+/// a fresh engine. The store is rebuilt on the same schedule, outside the
+/// timed region. Keys and values are rewritten in place, so the loop itself
+/// does not allocate.
+void BM_KvPrepareCommitFreshKeys(benchmark::State& state) {
+  namespace fs = std::filesystem;
+  const fs::path path = fs::temp_directory_path() /
+                        ("rcommit_bm_kvfresh_" + std::to_string(::getpid()) + ".wal");
+  constexpr db::TxnId kEpochTxns = 4096;
+  std::vector<db::KvWrite> writes = {{"key:", "txn-"}, {"key:", "txn-"}};
+  const std::vector<int32_t> participants = {0, 1};
+  const auto set_suffix = [](std::string& s, int64_t n) {
+    char digits[20];
+    const auto end = std::to_chars(digits, digits + sizeof digits, n).ptr;
+    s.replace(4, std::string::npos, digits, static_cast<size_t>(end - digits));
+  };
+  std::unique_ptr<db::KvStore> store;
+  db::TxnId txn = 0;
+  for (auto _ : state) {
+    if (txn % kEpochTxns == 0) {
+      state.PauseTiming();
+      store.reset();
+      fs::remove(path);
+      store = std::make_unique<db::KvStore>(path);
+      store->wal_begin_group();
+      state.ResumeTiming();
+    }
+    ++txn;
+    set_suffix(writes[0].key, 100000000 + 2 * txn);
+    set_suffix(writes[1].key, 100000001 + 2 * txn);
+    set_suffix(writes[0].value, txn);
+    set_suffix(writes[1].value, txn);
+    const bool prepared = store->prepare(txn, writes, participants);
+    benchmark::DoNotOptimize(prepared);
+    store->commit(txn);
+  }
+  store.reset();
+  state.SetItemsProcessed(state.iterations());
+  fs::remove(path);
+}
+BENCHMARK(BM_KvPrepareCommitFreshKeys);
 
 void BM_SimulatorCommitRun(benchmark::State& state) {
   const auto n = static_cast<int32_t>(state.range(0));

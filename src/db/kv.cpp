@@ -11,54 +11,95 @@ KvStore::KvStore(const std::filesystem::path& wal_path) {
   // its records over, so reopening a shard reads its log exactly once.
   std::vector<WalRecord> records;
   wal_ = std::make_unique<WriteAheadLog>(wal_path, records);
+  struct Pending {
+    std::vector<KvWrite> writes;
+    std::vector<int32_t> participants;
+    bool prepared = false;
+  };
+  std::map<TxnId, Pending> pending;
   for (auto& record : records) {
     switch (record.type) {
       case WalRecordType::kBegin:
-        staged_[record.txn_id];  // ensure the entry exists
+        pending[record.txn_id];  // ensure the entry exists
         break;
       case WalRecordType::kWrite:
-        staged_[record.txn_id].writes.push_back(
+        pending[record.txn_id].writes.push_back(
             {std::move(record.key), std::move(record.value)});
         break;
       case WalRecordType::kPrepared: {
-        Staged& staged = staged_[record.txn_id];
-        staged.prepared = true;
-        staged.participants = decode_participant_list(record.value);
+        Pending& entry = pending[record.txn_id];
+        entry.prepared = true;
+        entry.participants = decode_participant_list(record.value);
         break;
       }
       case WalRecordType::kCommit: {
-        auto it = staged_.find(record.txn_id);
-        if (it != staged_.end()) {
-          apply(std::move(it->second));
-          staged_.erase(it);
+        auto it = pending.find(record.txn_id);
+        if (it != pending.end()) {
+          for (auto& write : it->second.writes) {
+            install(table_[std::move(write.key)], std::move(write.value));
+          }
+          pending.erase(it);
         }
         break;
       }
       case WalRecordType::kAbort:
-        staged_.erase(record.txn_id);
+        pending.erase(record.txn_id);
         break;
       case WalRecordType::kSnapshot:
-        data_[std::move(record.key)] = std::move(record.value);
+        install(table_[std::move(record.key)], std::move(record.value));
         break;
       case WalRecordType::kBatchSeal:
         break;  // a recovery hint for RecoveryManager; carries no shard state
     }
   }
-  // Unprepared leftovers died before voting: they can only abort.
-  std::erase_if(staged_, [](const auto& entry) { return !entry.second.prepared; });
-  // Re-acquire locks for in-doubt transactions: their outcome is pending and
-  // their keys must stay protected.
-  for (const auto& [txn, staged] : staged_) {
-    for (const auto& write : staged.writes) {
-      RCOMMIT_CHECK_MSG(locks_.try_lock(write.key, txn),
+  // Unprepared leftovers died before voting: they can only abort. In-doubt
+  // transactions re-take their locks through the prepare path: their outcome
+  // is pending and their keys must stay protected.
+  for (auto& [txn, leftover] : pending) {
+    if (!leftover.prepared) continue;
+    Staged staged;
+    staged.writes.reserve(leftover.writes.size());
+    for (auto& write : leftover.writes) {
+      RCOMMIT_CHECK_MSG(stage(txn, write.key, std::move(write.value), staged.writes),
                         "conflicting in-doubt transactions in WAL");
     }
+    staged.participants = std::move(leftover.participants);
+    staged_.emplace_hint(staged_.end(), txn, std::move(staged));
   }
 }
 
-void KvStore::apply(Staged&& staged) {
-  for (auto& write : staged.writes) {
-    data_.insert_or_assign(std::move(write.key), std::move(write.value));
+bool KvStore::stage(TxnId txn, const std::string& key, std::string value,
+                    std::vector<StagedWrite>& writes) {
+  Node& node = *table_.try_emplace(key).first;
+  Slot& slot = node.second;
+  const bool take = !slot.locked;
+  if (!take && slot.holder != txn) return false;
+  if (take) {
+    slot.locked = true;
+    slot.holder = txn;
+    ++locked_count_;
+  }
+  writes.push_back({&node, std::move(value), take});
+  return true;
+}
+
+void KvStore::install(Slot& slot, std::string&& value) {
+  slot.value = std::move(value);
+  if (!slot.committed) {
+    slot.committed = true;
+    ++committed_count_;
+  }
+}
+
+void KvStore::release(const std::vector<StagedWrite>& writes) {
+  // Only the write that took a key's lock releases it, so a repeated key is
+  // released (and perhaps erased) once and never read after.
+  for (const auto& write : writes) {
+    if (!write.took_lock) continue;
+    Slot& slot = write.node->second;
+    slot.locked = false;
+    --locked_count_;
+    if (!slot.committed) table_.erase(table_.find(write.node->first));
   }
 }
 
@@ -67,7 +108,14 @@ bool KvStore::prepare(TxnId txn, const std::vector<KvWrite>& writes,
   RCOMMIT_CHECK_MSG(staged_.find(txn) == staged_.end(),
                     "transaction " << txn << " already staged");
   // Lock every key first; on any conflict, release and vote abort.
-  if (!locks_.try_lock_all(writes, txn, &KvWrite::key)) return false;
+  Staged staged;
+  staged.writes.reserve(writes.size());
+  for (const auto& write : writes) {
+    if (!stage(txn, write.key, write.value, staged.writes)) {
+      release(staged.writes);
+      return false;
+    }
+  }
   try {
     wal_->append(WalRecordType::kBegin, txn, {}, {});
     for (const auto& write : writes) {
@@ -80,24 +128,26 @@ bool KvStore::prepare(TxnId txn, const std::vector<KvWrite>& writes,
     // partial transaction as an unprepared leftover. Release the locks so a
     // caller that survives the exception sees the store as if the prepare
     // had never started.
-    locks_.unlock_all(txn);
+    release(staged.writes);
     throw;
   }
-  staged_.emplace_hint(staged_.end(), txn,
-                       Staged{writes, participants, /*prepared=*/true});
+  staged.participants = participants;
+  staged_.emplace_hint(staged_.end(), txn, std::move(staged));
   return true;
 }
 
 void KvStore::commit(TxnId txn) {
   auto it = staged_.find(txn);
-  RCOMMIT_CHECK_MSG(it != staged_.end() && it->second.prepared,
-                    "commit of unprepared transaction " << txn);
+  RCOMMIT_CHECK_MSG(it != staged_.end(), "commit of unprepared transaction " << txn);
   wal_->append(WalRecordType::kCommit, txn, {}, {});
-  // The staged strings move into the committed map: the entry is erased
-  // right after, so nothing reads them again.
-  apply(std::move(it->second));
+  // Each staged value moves into its slot, in write-set order so the last
+  // write of a repeated key wins; every slot then holds a committed value,
+  // so releasing the locks erases none.
+  for (auto& write : it->second.writes) {
+    install(write.node->second, std::move(write.value));
+  }
+  release(it->second.writes);
   staged_.erase(it);
-  locks_.unlock_all(txn);
 }
 
 void KvStore::abort(TxnId txn) {
@@ -105,29 +155,39 @@ void KvStore::abort(TxnId txn) {
   // entry must survive, or a caller that catches the exception would see the
   // transaction gone from memory while the log still says prepared — and a
   // retried abort() would silently skip the kAbort record.
-  if (staged_.count(txn) > 0) {
-    wal_->append(WalRecordType::kAbort, txn, {}, {});
-    staged_.erase(txn);
-  }
-  locks_.unlock_all(txn);
+  auto it = staged_.find(txn);
+  if (it == staged_.end()) return;
+  wal_->append(WalRecordType::kAbort, txn, {}, {});
+  release(it->second.writes);
+  staged_.erase(it);
 }
 
 std::optional<std::string> KvStore::get(const std::string& key) const {
-  auto it = data_.find(key);
-  if (it == data_.end()) return std::nullopt;
-  return it->second;
+  auto it = table_.find(key);
+  if (it == table_.end() || !it->second.committed) return std::nullopt;
+  return it->second.value;
 }
 
-bool KvStore::is_in_doubt(TxnId txn) const {
-  const auto it = staged_.find(txn);
-  return it != staged_.end() && it->second.prepared;
+std::map<std::string, std::string> KvStore::snapshot() const {
+  std::map<std::string, std::string> out;
+  for (const auto& [key, slot] : table_) {
+    if (slot.committed) out.emplace(key, slot.value);
+  }
+  return out;
 }
+
+std::optional<TxnId> KvStore::Locks::holder(const std::string& key) const {
+  auto it = store_->table_.find(key);
+  if (it == store_->table_.end() || !it->second.locked) return std::nullopt;
+  return it->second.holder;
+}
+
+bool KvStore::is_in_doubt(TxnId txn) const { return staged_.contains(txn); }
 
 std::vector<TxnId> KvStore::in_doubt() const {
   std::vector<TxnId> out;
-  for (const auto& [txn, staged] : staged_) {
-    if (staged.prepared) out.push_back(txn);
-  }
+  out.reserve(staged_.size());
+  for (const auto& entry : staged_) out.push_back(entry.first);
   return out;
 }
 
@@ -168,7 +228,8 @@ void KvStore::checkpoint() {
   {
     WriteAheadLog fresh(tmp_path);
     fresh.set_fault_hook(fault_hook_);
-    for (const auto& [key, value] : data_) {
+    // In key order, so checkpoint bytes do not depend on the table's hashing.
+    for (const auto& [key, value] : snapshot()) {
       fresh.append(WalRecordType::kSnapshot, 0, key, value);
     }
     // Carry pending (prepared, undecided) transactions forward so recovery
@@ -176,12 +237,10 @@ void KvStore::checkpoint() {
     for (const auto& [txn, staged] : staged_) {
       fresh.append(WalRecordType::kBegin, txn, {}, {});
       for (const auto& write : staged.writes) {
-        fresh.append(WalRecordType::kWrite, txn, write.key, write.value);
+        fresh.append(WalRecordType::kWrite, txn, write.node->first, write.value);
       }
-      if (staged.prepared) {
-        fresh.append(WalRecordType::kPrepared, txn, {},
-                     encode_participant_list(staged.participants));
-      }
+      fresh.append(WalRecordType::kPrepared, txn, {},
+                   encode_participant_list(staged.participants));
     }
   }
   // The rename is the commit point of the compaction.

@@ -5,19 +5,29 @@
 // discarded by the global outcome. Recovery replays the WAL; transactions
 // that were prepared but have no recorded outcome surface as "in doubt" —
 // the state whose resolution is exactly the transaction commit problem.
+//
+// Each key lives in one hash table slot that holds both its committed value
+// and its lock (strict two-phase locking, no-wait: a prepare that finds a key
+// locked by another transaction votes abort at once instead of queueing, which
+// exercises the commit protocol's abort-validity path). A staged write points
+// at its key's slot, so commit and abort install or release without looking
+// any key up again.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
-#include "db/locks.h"
 #include "db/wal.h"
 
 namespace rcommit::db {
+
+using TxnId = int64_t;
 
 struct KvWrite {
   std::string key;
@@ -29,9 +39,11 @@ class KvStore {
   /// Opens the store, replaying any existing WAL at `wal_path`.
   explicit KvStore(const std::filesystem::path& wal_path);
 
-  /// Stages `writes` under `txn` and durably records the prepare. Returns
-  /// false (voting abort) when a key is locked by another transaction; in
-  /// that case nothing is staged and no locks are retained.
+  /// Locks every key of `writes` for `txn`, stages the writes and durably
+  /// records the prepare. Returns false (voting abort) when a key is locked
+  /// by another transaction; in that case nothing is staged and every lock
+  /// the call took is released. A key may repeat in `writes`: it is locked
+  /// once and the last write wins at commit.
   ///
   /// `participants` names the full intended participant set of the
   /// transaction (shard ids, including this one); it is recorded in the
@@ -49,12 +61,12 @@ class KvStore {
   void abort(TxnId txn);
 
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
-  [[nodiscard]] size_t size() const { return data_.size(); }
+  /// Number of keys with a committed value.
+  [[nodiscard]] size_t size() const { return committed_count_; }
 
-  /// The full committed state, for equivalence checking and digests.
-  [[nodiscard]] const std::map<std::string, std::string>& snapshot() const {
-    return data_;
-  }
+  /// The full committed state in key order, built on each call — for
+  /// checkpoints, equivalence checking and digests, not for the hot path.
+  [[nodiscard]] std::map<std::string, std::string> snapshot() const;
 
   /// Transactions recovered from the WAL as prepared-but-undecided. The
   /// owner must resolve each with commit() or abort().
@@ -97,23 +109,59 @@ class KvStore {
 
   [[nodiscard]] const WriteAheadLog& wal() const { return *wal_; }
 
-  /// The shard's lock table (read-only) — conflict counts, current holders.
-  [[nodiscard]] const LockManager& locks() const { return locks_; }
+  /// Read-only view of the shard's locks.
+  class Locks {
+   public:
+    /// Current holder of `key`, if locked.
+    [[nodiscard]] std::optional<TxnId> holder(const std::string& key) const;
+    /// Number of keys currently locked.
+    [[nodiscard]] size_t locked_count() const { return store_->locked_count_; }
+
+   private:
+    friend class KvStore;
+    explicit Locks(const KvStore& store) : store_(&store) {}
+    const KvStore* store_;
+  };
+  [[nodiscard]] Locks locks() const { return Locks(*this); }
 
  private:
+  /// One key's state: its committed value, if any, and its lock.
+  struct Slot {
+    std::string value;
+    TxnId holder = 0;
+    bool locked = false;
+    bool committed = false;  ///< `value` holds a committed value
+  };
+  using Table = std::unordered_map<std::string, Slot>;
+  using Node = Table::value_type;
+
+  struct StagedWrite {
+    Node* node;  ///< the key's slot; element pointers survive rehash
+    std::string value;
+    bool took_lock;  ///< first write of its key in the set: owns the lock
+  };
   struct Staged {
-    std::vector<KvWrite> writes;
+    std::vector<StagedWrite> writes;
     std::vector<int32_t> participants;
-    bool prepared = false;
   };
 
-  /// Installs a staged write set, moving its strings into data_.
-  void apply(Staged&& staged);
+  /// Locks `key` for `txn` and appends the write to `writes`; false if
+  /// another transaction holds the key. `writes` must have spare capacity,
+  /// so a lock is never taken without its staged write.
+  bool stage(TxnId txn, const std::string& key, std::string value,
+             std::vector<StagedWrite>& writes);
+  /// Makes `value` the slot's committed value.
+  void install(Slot& slot, std::string&& value);
+  /// Releases the locks `writes` took, erasing the slots that hold no
+  /// committed value.
+  void release(const std::vector<StagedWrite>& writes);
 
   std::unique_ptr<WriteAheadLog> wal_;
   WalGroupLimits group_limits_;  ///< last wal_begin_group limits (checkpoint)
-  LockManager locks_;
-  std::map<std::string, std::string> data_;
+  Table table_;
+  size_t committed_count_ = 0;
+  size_t locked_count_ = 0;
+  /// Prepared, undecided transactions.
   std::map<TxnId, Staged> staged_;
   WalFaultHook* fault_hook_ = nullptr;
 };

@@ -15,8 +15,8 @@
 //     a shard engine prepares, decides, and applies different transactions
 //     independently, serialized only by the shard's own WAL appends and lock
 //     table — never by another transaction's commit round-trip.
-//   * Conflicts are arbitrated by the per-shard no-wait lock table
-//     (db/locks): the later arrival votes abort, deterministically, and no
+//   * Conflicts are arbitrated by the no-wait locks in each shard's key
+//     table (db/kv): the later arrival votes abort, deterministically, and no
 //     commit instance even starts for it.
 //
 // Two decision transports share the same instance semantics:

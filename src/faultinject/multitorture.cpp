@@ -42,8 +42,9 @@ uint64_t state_digest(const std::vector<std::unique_ptr<db::KvStore>>& stores) {
   BufWriter w;
   for (size_t i = 0; i < stores.size(); ++i) {
     w.u32(static_cast<uint32_t>(i));
-    w.varint(stores[i]->snapshot().size());
-    for (const auto& [key, value] : stores[i]->snapshot()) {
+    const auto snapshot = stores[i]->snapshot();
+    w.varint(snapshot.size());
+    for (const auto& [key, value] : snapshot) {
       w.str(key);
       w.str(value);
     }
@@ -262,7 +263,7 @@ CrashPointResult run_multi_crash_point(const MultiTortureOptions& options,
     }
   }
   for (int32_t i = 0; i < options.shard_count; ++i) {
-    const auto& actual = stores[static_cast<size_t>(i)]->snapshot();
+    const auto actual = stores[static_cast<size_t>(i)]->snapshot();
     const auto& want = expected[static_cast<size_t>(i)];
     if (actual == want) continue;
     std::string detail = "shard " + std::to_string(i) +

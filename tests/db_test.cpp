@@ -1,4 +1,4 @@
-// Tests for the database substrate: WAL framing and recovery, lock manager,
+// Tests for the database substrate: WAL framing and recovery, locks, the
 // KV two-phase lifecycle, crash recovery with in-doubt transactions, and
 // end-to-end distributed transactions over the threaded commit protocol.
 #include <gtest/gtest.h>
@@ -7,11 +7,11 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <optional>
 
 #include "common/check.h"
 #include "db/kv.h"
-#include "db/locks.h"
 #include "db/txn.h"
 #include "db/wal.h"
 
@@ -514,85 +514,207 @@ TEST(IdLists, EncodeRoundTrips) {
 }
 
 // --- locks -----------------------------------------------------------------------
+//
+// Locks live in KvStore's key table: prepare takes them, commit and abort
+// release them (strict two-phase locking, no-wait).
 
 TEST(Locks, ExclusiveAcquisition) {
-  LockManager locks;
-  EXPECT_TRUE(locks.try_lock("a", 1));
-  EXPECT_FALSE(locks.try_lock("a", 2));
-  EXPECT_EQ(locks.holder("a"), 1);
+  TempDir dir;
+  KvStore store(dir.path() / "kv.wal");
+  ASSERT_TRUE(store.prepare(1, {{"a", "1"}}));
+  EXPECT_FALSE(store.prepare(2, {{"a", "2"}}));
+  EXPECT_EQ(store.locks().holder("a"), 1);
+  EXPECT_EQ(store.locks().locked_count(), 1u);
 }
 
 TEST(Locks, ReentrantForSameTxn) {
-  LockManager locks;
-  EXPECT_TRUE(locks.try_lock("a", 1));
-  EXPECT_TRUE(locks.try_lock("a", 1));
+  TempDir dir;
+  const auto wal_path = dir.path() / "kv.wal";
+  {
+    KvStore store(wal_path);
+    // The second write of "a" re-acquires a lock its transaction holds.
+    ASSERT_TRUE(store.prepare(1, {{"a", "1"}, {"b", "1"}, {"a", "2"}}));
+    EXPECT_EQ(store.locks().holder("a"), 1);
+  }
+  // Reopen re-takes the in-doubt transaction's locks the same way, without
+  // mistaking the repeated key for a conflicting in-doubt transaction.
+  KvStore recovered(wal_path);
+  EXPECT_EQ(recovered.locks().holder("a"), 1);
+  EXPECT_EQ(recovered.locks().locked_count(), 2u);
+  recovered.commit(1);
+  EXPECT_EQ(recovered.get("a"), "2");
 }
 
-TEST(Locks, UnlockAllReleasesEverything) {
-  LockManager locks;
-  EXPECT_TRUE(locks.try_lock("a", 1));
-  EXPECT_TRUE(locks.try_lock("b", 1));
-  EXPECT_TRUE(locks.try_lock("c", 2));
-  locks.unlock_all(1);
-  EXPECT_EQ(locks.holder("a"), std::nullopt);
-  EXPECT_EQ(locks.holder("b"), std::nullopt);
-  EXPECT_EQ(locks.holder("c"), 2);
-  EXPECT_TRUE(locks.try_lock("a", 3));
+TEST(Locks, CommitAndAbortReleaseEveryKey) {
+  TempDir dir;
+  KvStore store(dir.path() / "kv.wal");
+  ASSERT_TRUE(store.prepare(1, {{"a", "1"}, {"b", "1"}}));
+  ASSERT_TRUE(store.prepare(2, {{"c", "2"}}));
+  ASSERT_TRUE(store.prepare(3, {{"d", "3"}}));
+  store.commit(1);
+  EXPECT_EQ(store.locks().holder("a"), std::nullopt);
+  EXPECT_EQ(store.locks().holder("b"), std::nullopt);
+  EXPECT_EQ(store.locks().holder("c"), 2);
+  store.abort(3);
+  EXPECT_EQ(store.locks().holder("d"), std::nullopt);
+  EXPECT_EQ(store.locks().locked_count(), 1u);
+  EXPECT_TRUE(store.prepare(4, {{"a", "4"}, {"d", "4"}}));
 }
 
-TEST(Locks, UnlockAllUnknownTxnIsNoop) {
-  LockManager locks;
-  locks.unlock_all(99);
-  EXPECT_EQ(locks.locked_count(), 0u);
-}
-
-TEST(Locks, DuplicateKeyInOneWriteSetIsHeldOnce) {
-  LockManager locks;
-  const std::vector<std::string> keys = {"a", "b", "a", "b", "a"};
-  ASSERT_TRUE(locks.try_lock_all(keys, 1));
-  EXPECT_EQ(locks.locked_count(), 2u);
-  EXPECT_EQ(locks.conflicts(), 0);
-  locks.unlock_all(1);
-  EXPECT_EQ(locks.locked_count(), 0u);
-  EXPECT_EQ(locks.holder("a"), std::nullopt);
-  // A second unlock finds nothing left to release.
-  locks.unlock_all(1);
-  EXPECT_EQ(locks.locked_count(), 0u);
-}
-
-TEST(Locks, MidSetConflictReleasesEveryKeyTheCallTook) {
-  LockManager locks;
-  ASSERT_TRUE(locks.try_lock("c", 2));
-  const std::vector<std::string> keys = {"a", "b", "c", "d"};
-  EXPECT_FALSE(locks.try_lock_all(keys, 1));
-  EXPECT_EQ(locks.conflicts(), 1);
-  // "a" and "b" were taken before the conflict and are released; "d" was
-  // never reached; "c" stays with its holder.
-  EXPECT_EQ(locks.holder("a"), std::nullopt);
-  EXPECT_EQ(locks.holder("b"), std::nullopt);
-  EXPECT_EQ(locks.holder("d"), std::nullopt);
-  EXPECT_EQ(locks.holder("c"), 2);
-  EXPECT_EQ(locks.locked_count(), 1u);
-  locks.unlock_all(1);  // nothing left for txn 1
-  EXPECT_EQ(locks.locked_count(), 1u);
-  locks.unlock_all(2);
-  EXPECT_EQ(locks.locked_count(), 0u);
-  // The released keys are free for the loser's retry.
-  ASSERT_TRUE(locks.try_lock_all(keys, 1));
-  EXPECT_EQ(locks.locked_count(), 4u);
-  locks.unlock_all(1);
-  EXPECT_EQ(locks.locked_count(), 0u);
+TEST(Locks, AbortOfUnknownTxnIsNoop) {
+  TempDir dir;
+  const auto wal_path = dir.path() / "kv.wal";
+  KvStore store(wal_path);
+  ASSERT_TRUE(store.prepare(1, {{"a", "1"}}));
+  const auto wal_size = fs::file_size(wal_path);
+  store.abort(99);
+  EXPECT_EQ(store.locks().locked_count(), 1u);
+  EXPECT_EQ(store.locks().holder("a"), 1);
+  EXPECT_EQ(fs::file_size(wal_path), wal_size);  // no kAbort record
 }
 
 TEST(Locks, TryLockAllProjectsKeysFromWrites) {
-  LockManager locks;
-  const std::vector<KvWrite> writes = {{"x", "1"}, {"y", "2"}, {"x", "3"}};
-  ASSERT_TRUE(locks.try_lock_all(writes, 5, &KvWrite::key));
-  EXPECT_EQ(locks.holder("x"), 5);
-  EXPECT_EQ(locks.holder("y"), 5);
-  EXPECT_EQ(locks.locked_count(), 2u);
-  locks.unlock_all(5);
-  EXPECT_EQ(locks.locked_count(), 0u);
+  TempDir dir;
+  KvStore store(dir.path() / "kv.wal");
+  // prepare locks the key of each write, not the write itself.
+  ASSERT_TRUE(store.prepare(5, {{"x", "1"}, {"y", "2"}, {"x", "3"}}));
+  EXPECT_EQ(store.locks().holder("x"), 5);
+  EXPECT_EQ(store.locks().holder("y"), 5);
+  EXPECT_EQ(store.locks().locked_count(), 2u);
+  store.commit(5);
+  EXPECT_EQ(store.locks().locked_count(), 0u);
+}
+
+TEST(Locks, DuplicateKeyInOneWriteSetIsHeldOnce) {
+  TempDir dir;
+  KvStore store(dir.path() / "kv.wal");
+  ASSERT_TRUE(store.prepare(
+      1, {{"a", "1"}, {"b", "2"}, {"a", "3"}, {"b", "4"}, {"a", "5"}}));
+  EXPECT_EQ(store.locks().locked_count(), 2u);
+  EXPECT_EQ(store.locks().holder("a"), 1);
+  EXPECT_EQ(store.locks().holder("b"), 1);
+  store.commit(1);
+  EXPECT_EQ(store.locks().locked_count(), 0u);
+  EXPECT_EQ(store.locks().holder("a"), std::nullopt);
+  EXPECT_EQ(store.get("a"), "5");  // the last write wins
+  EXPECT_EQ(store.get("b"), "4");
+  EXPECT_EQ(store.size(), 2u);
+  // Aborting a repeated never-committed key releases it once.
+  ASSERT_TRUE(store.prepare(2, {{"c", "1"}, {"c", "2"}}));
+  EXPECT_EQ(store.locks().locked_count(), 1u);
+  store.abort(2);
+  EXPECT_EQ(store.locks().locked_count(), 0u);
+  EXPECT_EQ(store.get("c"), std::nullopt);
+  EXPECT_EQ(store.size(), 2u);
+}
+
+TEST(Locks, MidSetConflictReleasesEveryKeyTheCallTook) {
+  TempDir dir;
+  KvStore store(dir.path() / "kv.wal");
+  ASSERT_TRUE(store.prepare(2, {{"c", "2"}}));
+  const std::vector<KvWrite> writes = {{"a", "1"}, {"b", "1"}, {"c", "1"}, {"d", "1"}};
+  EXPECT_FALSE(store.prepare(1, writes));
+  // "a" and "b" were taken before the conflict and are released; "d" was
+  // never reached; "c" stays with its holder.
+  EXPECT_EQ(store.locks().holder("a"), std::nullopt);
+  EXPECT_EQ(store.locks().holder("b"), std::nullopt);
+  EXPECT_EQ(store.locks().holder("d"), std::nullopt);
+  EXPECT_EQ(store.locks().holder("c"), 2);
+  EXPECT_EQ(store.locks().locked_count(), 1u);
+  EXPECT_EQ(store.in_doubt(), std::vector<TxnId>{2});  // nothing staged for 1
+  store.abort(1);  // nothing left for txn 1
+  EXPECT_EQ(store.locks().locked_count(), 1u);
+  store.abort(2);
+  EXPECT_EQ(store.locks().locked_count(), 0u);
+  // The released keys are free for the loser's retry.
+  ASSERT_TRUE(store.prepare(1, writes));
+  EXPECT_EQ(store.locks().locked_count(), 4u);
+  store.commit(1);
+  EXPECT_EQ(store.locks().locked_count(), 0u);
+  EXPECT_EQ(store.size(), 4u);
+}
+
+/// `size()`, `get()` of every key and `locked_count()`, to compare a store
+/// before and after a prepare that must leave no trace.
+struct Visible {
+  size_t size;
+  std::vector<std::optional<std::string>> values;
+  size_t locked;
+  bool operator==(const Visible&) const = default;
+};
+Visible visible(const KvStore& store, const std::vector<std::string>& keys) {
+  Visible out{store.size(), {}, store.locks().locked_count()};
+  for (const auto& key : keys) out.values.push_back(store.get(key));
+  return out;
+}
+
+TEST(Locks, RefusedPrepareLeavesNeverCommittedKeysAsTheyWere) {
+  TempDir dir;
+  KvStore store(dir.path() / "kv.wal");
+  ASSERT_TRUE(store.prepare(1, {{"old", "1"}}));
+  store.commit(1);
+  ASSERT_TRUE(store.prepare(2, {{"held", "2"}}));
+  const std::vector<std::string> keys = {"old", "held", "new1", "new2"};
+  const Visible before = visible(store, keys);
+  EXPECT_FALSE(store.prepare(3, {{"new1", "3"}, {"old", "3"}, {"new2", "3"}, {"held", "3"}}));
+  EXPECT_EQ(visible(store, keys), before);
+  EXPECT_EQ(store.locks().holder("new1"), std::nullopt);
+  // The refused keys can be prepared and committed again.
+  ASSERT_TRUE(store.prepare(4, {{"new1", "4"}, {"new2", "4"}}));
+  store.commit(4);
+  EXPECT_EQ(store.get("new1"), "4");
+  EXPECT_EQ(store.get("new2"), "4");
+  EXPECT_EQ(store.size(), 3u);
+}
+
+TEST(Locks, AbortedPrepareLeavesNeverCommittedKeysAsTheyWere) {
+  TempDir dir;
+  KvStore store(dir.path() / "kv.wal");
+  ASSERT_TRUE(store.prepare(1, {{"old", "1"}}));
+  store.commit(1);
+  const std::vector<std::string> keys = {"old", "new1", "new2"};
+  const Visible before = visible(store, keys);
+  ASSERT_TRUE(store.prepare(2, {{"new1", "2"}, {"old", "2"}, {"new2", "2"}}));
+  store.abort(2);
+  EXPECT_EQ(visible(store, keys), before);
+  EXPECT_EQ(store.get("old"), "1");
+  // The aborted keys can be prepared and committed again.
+  ASSERT_TRUE(store.prepare(3, {{"new1", "3"}, {"new2", "3"}}));
+  store.commit(3);
+  EXPECT_EQ(store.get("new1"), "3");
+  EXPECT_EQ(store.size(), 3u);
+}
+
+TEST(Locks, InDoubtKeysStayLockedAfterReopenUntilResolved) {
+  TempDir dir;
+  const auto wal_path = dir.path() / "kv.wal";
+  {
+    KvStore store(wal_path);
+    ASSERT_TRUE(store.prepare(1, {{"x", "0"}}));
+    store.commit(1);
+    ASSERT_TRUE(store.prepare(2, {{"x", "2"}, {"y", "2"}}));
+    ASSERT_TRUE(store.prepare(3, {{"z", "3"}}));
+  }
+  KvStore recovered(wal_path);
+  EXPECT_EQ(recovered.in_doubt(), (std::vector<TxnId>{2, 3}));
+  EXPECT_EQ(recovered.locks().locked_count(), 3u);
+  EXPECT_EQ(recovered.locks().holder("x"), 2);
+  EXPECT_EQ(recovered.locks().holder("y"), 2);
+  EXPECT_EQ(recovered.locks().holder("z"), 3);
+  EXPECT_FALSE(recovered.prepare(4, {{"y", "4"}}));
+  EXPECT_FALSE(recovered.prepare(5, {{"z", "5"}}));
+  EXPECT_EQ(recovered.size(), 1u);
+  recovered.commit(2);
+  EXPECT_EQ(recovered.locks().holder("x"), std::nullopt);
+  EXPECT_EQ(recovered.get("y"), "2");
+  EXPECT_EQ(recovered.locks().holder("z"), 3);
+  recovered.abort(3);
+  EXPECT_EQ(recovered.locks().locked_count(), 0u);
+  EXPECT_EQ(recovered.get("z"), std::nullopt);
+  EXPECT_EQ(recovered.size(), 2u);
+  ASSERT_TRUE(recovered.prepare(6, {{"y", "6"}, {"z", "6"}}));
+  recovered.commit(6);
+  EXPECT_EQ(recovered.get("z"), "6");
 }
 
 // --- KV store ---------------------------------------------------------------------
@@ -812,6 +934,60 @@ TEST(Kv, RepeatedCheckpointsAreIdempotent) {
   store.checkpoint();
   EXPECT_EQ(fs::file_size(wal_path), size_once);
   EXPECT_EQ(store.get("x"), "1");
+}
+
+TEST(Kv, CheckpointBytesMatchCapturedGolden) {
+  // Captured from the encoder of the ordered-map store: committed keys
+  // inserted out of key order (one overwritten, one past the small-string
+  // buffer, one aborted), an in-doubt transaction whose write set repeats a
+  // key, and a seal, which the checkpoint drops. The snapshot records must
+  // come out in key order from a hash-indexed key table; this pins them
+  // byte for byte.
+  TempDir dir;
+  const auto wal_path = dir.path() / "kv.wal";
+  std::map<std::string, std::string> expected;
+  {
+    KvStore store(wal_path);
+    ASSERT_TRUE(store.prepare(3, {{"m", "13"}}));
+    store.commit(3);
+    ASSERT_TRUE(store.prepare(1, {{"z", "26"}, {"b", "2"}}));
+    store.commit(1);
+    ASSERT_TRUE(store.prepare(2, {{"a", "1"}}));
+    store.commit(2);
+    ASSERT_TRUE(store.prepare(4, {{"key:long-enough-for-heap", "4"}}));
+    store.commit(4);
+    ASSERT_TRUE(store.prepare(5, {{"b", "overwritten"}}));
+    store.commit(5);
+    ASSERT_TRUE(store.prepare(6, {{"gone", "6"}}));
+    store.abort(6);
+    ASSERT_TRUE(store.prepare(7, {{"q", "first"}, {"c", "x"}, {"q", "second"}}, {0, 2}));
+    store.seal_batch(9, {5, 7});
+    store.checkpoint();
+    expected = store.snapshot();
+  }
+  const std::string hex =
+    "06000000f0fa5cb106000161013110000000f67174b6060001620b6f7665727772697474"
+    "656e1d0000003097ce6e0600186b65793a6c6f6e672d656e6f7567682d666f722d686561"
+    "70013407000000fd4859e50600016d023133070000008ffd2b140600017a023236040000"
+    "00ad29c27c010e00000a000000903fb193020e01710566697273740600000083330f2002"
+    "0e016301780b0000002a486c01020e0171067365636f6e640700000019e74d84030e0003"
+    "302c32";
+  std::vector<uint8_t> golden;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    golden.push_back(static_cast<uint8_t>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  ASSERT_EQ(golden.size(), 183u);
+  EXPECT_EQ(file_bytes(wal_path), golden);
+  EXPECT_EQ(expected, (std::map<std::string, std::string>{
+                          {"a", "1"}, {"b", "overwritten"}, {"key:long-enough-for-heap", "4"},
+                          {"m", "13"}, {"z", "26"}}));
+  KvStore reopened(wal_path);
+  EXPECT_EQ(reopened.snapshot(), expected);
+  EXPECT_EQ(reopened.in_doubt(), std::vector<TxnId>{7});
+  EXPECT_EQ(reopened.locks().holder("q"), 7);
+  reopened.commit(7);
+  EXPECT_EQ(reopened.get("q"), "second");
+  EXPECT_EQ(reopened.get("c"), "x");
 }
 
 // --- distributed transactions -----------------------------------------------------

@@ -1,4 +1,5 @@
-// Heap-allocation and crash-isolation checks for the WAL's in-place framing.
+// Heap-allocation and crash-isolation checks for the shard hot path: the
+// WAL's in-place framing and KvStore's key table.
 //
 // This TU replaces global operator new/delete with counting wrappers (the
 // same instrumentation bench_simperf uses; nothing else links it), so it can
@@ -6,7 +7,9 @@
 // appends encode straight into the pending buffer, and serial appends into a
 // reused scratch buffer. It also pins the crash semantics the buffer reuse
 // must keep — a group dropped by a kCrashBefore verdict never leaks into a
-// later group's bytes.
+// later group's bytes. For the store, a warm commit installs through its
+// staged slot pointers without allocating, and a prepare allocates only
+// what it keeps.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -17,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "db/kv.h"
 #include "db/wal.h"
 
 // The replacement operators below pair malloc with free by design; GCC's
@@ -187,6 +191,76 @@ TEST(WalAlloc, CrashBeforeGroupLeavesNoBytesInLaterGroups) {
   std::vector<uint8_t> expected = group_b;
   expected.insert(expected.end(), group_c.begin(), group_c.end());
   EXPECT_EQ(file_bytes(path), expected);
+}
+
+/// Two-key write sets for `count` transactions from `first` on, built before
+/// any counting window opens. Each key is `prefix` plus the transaction id.
+std::vector<std::vector<KvWrite>> write_sets(const std::string& prefix, TxnId first,
+                                             int count) {
+  std::vector<std::vector<KvWrite>> sets;
+  for (TxnId txn = first; txn < first + count; ++txn) {
+    sets.push_back({{prefix + "a" + std::to_string(txn), "v"},
+                    {prefix + "b" + std::to_string(txn), "v"}});
+  }
+  return sets;
+}
+
+const std::vector<int32_t> kParticipants = {0, 1};
+
+TEST(KvAlloc, WarmCommitIsAllocationFree) {
+  TempDir dir;
+  KvStore store(dir.path() / "kv.wal");
+  store.wal_begin_group();
+  // Keys past the small-string buffer, so a commit that copied a key into
+  // another container would allocate. Every key is new: the table grows as
+  // it does under the benchmark's workload, and commit must still not touch
+  // the allocator.
+  // One group flush per transaction, outside the counted window, so the
+  // WAL's buffers are warm after the first few.
+  constexpr int kWarm = 8;
+  constexpr int kTxns = 256;
+  const auto sets = write_sets("committed-key-", 1, kWarm + kTxns);
+  for (TxnId txn = 1; txn <= kWarm + kTxns; ++txn) {
+    ASSERT_TRUE(store.prepare(txn, sets[static_cast<size_t>(txn - 1)], kParticipants));
+    const uint64_t allocs_before = g_heap_allocs;
+    store.commit(txn);
+    const uint64_t allocs = g_heap_allocs - allocs_before;
+    if (txn > kWarm) {
+      ASSERT_EQ(allocs, 0u) << "commit of txn " << txn;
+    }
+    store.wal_commit_group();
+  }
+  EXPECT_EQ(store.size(), static_cast<size_t>(2 * (kWarm + kTxns)));
+  EXPECT_EQ(store.locks().locked_count(), 0u);
+  store.wal_end_group();
+}
+
+TEST(KvAlloc, WarmPrepareOfTwoNewKeysAllocatesAtMostFive) {
+  TempDir dir;
+  KvStore store(dir.path() / "kv.wal");
+  store.wal_begin_group();
+  // Short keys, like the workload's "key:<rank>". Aborting each prepare
+  // erases its never-committed slots, so the table's size (and its bucket
+  // array, once grown) stays put and every measured prepare sees a warm
+  // table: the budget is one node per new key, the staged entry, its write
+  // vector and its participant list. Group flushes fall outside the counted
+  // window, as in the commit test.
+  constexpr int kWarm = 64;
+  constexpr int kTxns = 256;
+  const auto sets = write_sets("k", 1, kWarm + kTxns);
+  for (TxnId txn = 1; txn <= kWarm + kTxns; ++txn) {
+    const uint64_t allocs_before = g_heap_allocs;
+    ASSERT_TRUE(store.prepare(txn, sets[static_cast<size_t>(txn - 1)], kParticipants));
+    const uint64_t allocs = g_heap_allocs - allocs_before;
+    if (txn > kWarm) {
+      ASSERT_LE(allocs, 5u) << "prepare of txn " << txn;
+    }
+    store.abort(txn);
+    store.wal_commit_group();
+  }
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.locks().locked_count(), 0u);
+  store.wal_end_group();
 }
 
 }  // namespace
