@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark): the hot paths under the experiments —
 // codec round-trips, wire encode/decode, CRC, WAL appends (serial and
 // grouped), one shard's prepare+commit (over a fixed key set and over
-// fresh keys), and raw simulator event throughput. These quantify the
+// fresh keys), a pipelined engine's shard reopen, and raw simulator event
+// throughput. These quantify the
 // substrate costs so the protocol-level numbers in E1-E14 can be read with
 // the constant factors in mind.
 //
@@ -21,7 +22,9 @@
 #include "common/codec.h"
 #include "common/rng.h"
 #include "db/kv.h"
+#include "db/multishot.h"
 #include "db/wal.h"
+#include "db/workload.h"
 #include "protocol/commit.h"
 #include "protocol/messages.h"
 #include "sim/simulator.h"
@@ -182,6 +185,55 @@ void BM_KvPrepareCommitFreshKeys(benchmark::State& state) {
   fs::remove(path);
 }
 BENCHMARK(BM_KvPrepareCommitFreshKeys);
+
+/// A pipelined engine's restart: reopening the WALs MultiShotDb leaves after
+/// 4096 transactions run in pipelined batches of 64 — 3 shards, fan-out 2,
+/// two writes per touched shard over fresh keys, group commit, decision
+/// batches of 8, as one perfbench pipelined-sim epoch. Each iteration
+/// reopens all three shards from the (page-cached) files: per shard, one
+/// WAL scan and the rebuild of its key table. Destroying the stores is not
+/// timed.
+void BM_KvReopen(benchmark::State& state) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("rcommit_bm_reopen_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  constexpr int32_t kShards = 3;
+  constexpr int32_t kPipelineBatch = 64;
+  std::vector<fs::path> paths;
+  {
+    db::MultiShotDb::Options options;
+    options.shard_count = kShards;
+    options.data_dir = dir;
+    options.group_commit = true;
+    options.decision_batch = 8;
+    db::MultiShotDb engine(options);
+    db::WorkloadGenerator generator({.shard_count = kShards,
+                                     .keys_per_shard = 1'000'000'000,
+                                     .fanout = 2,
+                                     .writes_per_shard = 2},
+                                    1);
+    for (int32_t b = 0; b < 4096 / kPipelineBatch; ++b) {
+      std::vector<db::GeneratedTxn> batch;
+      for (int32_t i = 0; i < kPipelineBatch; ++i) batch.push_back(generator.next());
+      (void)engine.execute_pipelined(b % kShards, batch);
+    }
+    engine.flush_wals();
+    for (int32_t s = 0; s < kShards; ++s) paths.push_back(engine.shard(s).wal().path());
+  }
+  int64_t bytes = 0;
+  for (const auto& path : paths) bytes += static_cast<int64_t>(fs::file_size(path));
+  std::vector<std::unique_ptr<db::KvStore>> stores;
+  for (auto _ : state) {
+    for (const auto& path : paths) stores.push_back(std::make_unique<db::KvStore>(path));
+    state.PauseTiming();
+    stores.clear();
+    state.ResumeTiming();
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+  fs::remove_all(dir);
+}
+BENCHMARK(BM_KvReopen);
 
 void BM_SimulatorCommitRun(benchmark::State& state) {
   const auto n = static_cast<int32_t>(state.range(0));

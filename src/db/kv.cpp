@@ -1,70 +1,182 @@
 #include "db/kv.h"
 
+#include <algorithm>
+#include <bit>
+#include <limits>
+#include <span>
+#include <string_view>
 #include <utility>
 
 #include "common/check.h"
 
 namespace rcommit::db {
 
+namespace {
+
+constexpr uint32_t kNoRecord = std::numeric_limits<uint32_t>::max();
+
+/// One transaction's state while a reopen replays the log. Its writes are
+/// not copied: they are a chain of record indices through the replay's
+/// next-write links.
+struct Replayed {
+  TxnId txn = 0;
+  uint32_t first_write = kNoRecord;
+  uint32_t last_write = kNoRecord;
+  uint32_t prepared = kNoRecord;  ///< its last kPrepared record
+  bool live = false;              ///< begun, not yet committed or aborted
+};
+
+/// The replay's transactions in a flat vector, found by txn id through an
+/// open-addressing index. Both are sized once from a bound on the number of
+/// transactions, so a replay allocates them once whatever the log holds.
+class ReplayTable {
+ public:
+  explicit ReplayTable(size_t max_txns)
+      : slots_(std::bit_ceil(2 * max_txns + 1), 0),
+        mask_(slots_.size() - 1) {
+    entries_.reserve(max_txns);
+  }
+
+  /// The entry of `txn`, or nullptr if the log has not named it yet.
+  Replayed* find(TxnId txn) {
+    for (size_t at = home(txn);; at = (at + 1) & mask_) {
+      if (slots_[at] == 0) return nullptr;
+      Replayed& entry = entries_[slots_[at] - 1];
+      if (entry.txn == txn) return &entry;
+    }
+  }
+
+  /// The entry of `txn`, added (not live) if new.
+  Replayed& find_or_add(TxnId txn) {
+    size_t at = home(txn);
+    for (; slots_[at] != 0; at = (at + 1) & mask_) {
+      Replayed& entry = entries_[slots_[at] - 1];
+      if (entry.txn == txn) return entry;
+    }
+    entries_.push_back({.txn = txn});
+    slots_[at] = static_cast<uint32_t>(entries_.size());
+    return entries_.back();
+  }
+
+  [[nodiscard]] const std::vector<Replayed>& entries() const { return entries_; }
+
+ private:
+  [[nodiscard]] size_t home(TxnId txn) const {
+    // Fibonacci hashing: ids differ mostly in their low bits (sequence
+    // numbers) and in a few high ones (the originating shard).
+    return static_cast<size_t>((static_cast<uint64_t>(txn) * 0x9E3779B97F4A7C15ULL) >>
+                               32) &
+           mask_;
+  }
+
+  std::vector<uint32_t> slots_;  ///< entry index + 1; 0 is an empty slot
+  size_t mask_;
+  std::vector<Replayed> entries_;
+};
+
+}  // namespace
+
 KvStore::KvStore(const std::filesystem::path& wal_path) {
   // The WAL's open scans the file once (truncating a torn tail) and hands
-  // its records over, so reopening a shard reads its log exactly once.
-  std::vector<WalRecord> records;
-  wal_ = std::make_unique<WriteAheadLog>(wal_path, records);
-  struct Pending {
-    std::vector<KvWrite> writes;
-    std::vector<int32_t> participants;
-    bool prepared = false;
+  // over views of its records, so reopening a shard reads its log exactly
+  // once and copies only the keys and values it installs or re-stages.
+  WalImage image;
+  wal_ = std::make_unique<WriteAheadLog>(wal_path, image);
+  replay(image);
+}
+
+void KvStore::replay(const WalImage& image) {
+  const std::span<const WalRecordView> records = image.records;
+  if (records.empty()) return;
+  RCOMMIT_CHECK_MSG(records.size() < kNoRecord, "WAL too long to replay");
+  ReplayTable txns(records.size());
+  std::vector<uint32_t> next_write(records.size(), kNoRecord);
+  // The kWrite and kSnapshot records to install, in log order. Installs are
+  // the only table changes the pass below makes, so running them after it
+  // in the same order gives the same table, and keeps the pass itself off
+  // the table's memory.
+  std::vector<uint32_t> installs;
+  installs.reserve(image.write_count);
+  std::vector<int32_t> participants;  // reused to check each PREPARED list
+  // The transaction's entry, made live, or live again after its outcome: a
+  // kBegin after a kCommit starts a fresh transaction of the same id.
+  const auto open = [&](TxnId txn) -> Replayed& {
+    Replayed& entry = txns.find_or_add(txn);
+    if (!entry.live) entry = {.txn = txn, .live = true};
+    return entry;
   };
-  std::map<TxnId, Pending> pending;
-  for (auto& record : records) {
+  for (uint32_t i = 0; i < records.size(); ++i) {
+    const WalRecordView& record = records[i];
     switch (record.type) {
       case WalRecordType::kBegin:
-        pending[record.txn_id];  // ensure the entry exists
+        open(record.txn_id);
         break;
-      case WalRecordType::kWrite:
-        pending[record.txn_id].writes.push_back(
-            {std::move(record.key), std::move(record.value)});
-        break;
-      case WalRecordType::kPrepared: {
-        Pending& entry = pending[record.txn_id];
-        entry.prepared = true;
-        entry.participants = decode_participant_list(record.value);
+      case WalRecordType::kWrite: {
+        Replayed& entry = open(record.txn_id);
+        (entry.last_write == kNoRecord ? entry.first_write
+                                       : next_write[entry.last_write]) = i;
+        entry.last_write = i;
         break;
       }
+      case WalRecordType::kPrepared:
+        // Only an in-doubt transaction keeps its list, but every list must
+        // parse: a malformed one is a CheckFailure, as it always was.
+        participants.clear();
+        append_participant_list(record.value, participants);
+        open(record.txn_id).prepared = i;
+        break;
       case WalRecordType::kCommit: {
-        auto it = pending.find(record.txn_id);
-        if (it != pending.end()) {
-          for (auto& write : it->second.writes) {
-            install(table_[std::move(write.key)], std::move(write.value));
+        Replayed* entry = txns.find(record.txn_id);
+        if (entry != nullptr && entry->live) {
+          // In write order, so the last write of a repeated key wins.
+          for (uint32_t w = entry->first_write; w != kNoRecord; w = next_write[w]) {
+            installs.push_back(w);
           }
-          pending.erase(it);
+          entry->live = false;
         }
         break;
       }
-      case WalRecordType::kAbort:
-        pending.erase(record.txn_id);
+      case WalRecordType::kAbort: {
+        Replayed* entry = txns.find(record.txn_id);
+        if (entry != nullptr) entry->live = false;
         break;
+      }
       case WalRecordType::kSnapshot:
-        install(table_[std::move(record.key)], std::move(record.value));
+        installs.push_back(i);
         break;
       case WalRecordType::kBatchSeal:
         break;  // a recovery hint for RecoveryManager; carries no shard state
     }
   }
+  // Straight from the log's bytes into the table. The lookup key is one
+  // reused string, so a key already in the table costs no allocation.
+  table_.reserve(image.write_count);
+  std::string key;
+  for (const uint32_t w : installs) {
+    key.assign(records[w].key);
+    install(table_.try_emplace(key).first->second, records[w].value);
+  }
   // Unprepared leftovers died before voting: they can only abort. In-doubt
-  // transactions re-take their locks through the prepare path: their outcome
-  // is pending and their keys must stay protected.
-  for (auto& [txn, leftover] : pending) {
-    if (!leftover.prepared) continue;
+  // transactions re-take their locks through the prepare path, in ascending
+  // id order: their outcome is pending and their keys must stay protected.
+  std::vector<const Replayed*> in_doubt;
+  for (const Replayed& entry : txns.entries()) {
+    if (entry.live && entry.prepared != kNoRecord) in_doubt.push_back(&entry);
+  }
+  std::sort(in_doubt.begin(), in_doubt.end(),
+            [](const Replayed* a, const Replayed* b) { return a->txn < b->txn; });
+  for (const Replayed* entry : in_doubt) {
     Staged staged;
-    staged.writes.reserve(leftover.writes.size());
-    for (auto& write : leftover.writes) {
-      RCOMMIT_CHECK_MSG(stage(txn, write.key, std::move(write.value), staged.writes),
+    size_t writes = 0;
+    for (uint32_t w = entry->first_write; w != kNoRecord; w = next_write[w]) ++writes;
+    staged.writes.reserve(writes);
+    for (uint32_t w = entry->first_write; w != kNoRecord; w = next_write[w]) {
+      RCOMMIT_CHECK_MSG(stage(entry->txn, std::string(records[w].key),
+                              std::string(records[w].value), staged.writes),
                         "conflicting in-doubt transactions in WAL");
     }
-    staged.participants = std::move(leftover.participants);
-    staged_.emplace_hint(staged_.end(), txn, std::move(staged));
+    staged.participants = decode_participant_list(records[entry->prepared].value);
+    staged_.emplace_hint(staged_.end(), entry->txn, std::move(staged));
   }
 }
 
@@ -83,8 +195,9 @@ bool KvStore::stage(TxnId txn, const std::string& key, std::string value,
   return true;
 }
 
-void KvStore::install(Slot& slot, std::string&& value) {
-  slot.value = std::move(value);
+template <typename Value>
+void KvStore::install(Slot& slot, Value&& value) {
+  slot.value = std::forward<Value>(value);
   if (!slot.committed) {
     slot.committed = true;
     ++committed_count_;

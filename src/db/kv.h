@@ -145,13 +145,18 @@ class KvStore {
     std::vector<int32_t> participants;
   };
 
+  /// Rebuilds the table and the in-doubt set from the open's scan (the
+  /// constructor's replay).
+  void replay(const WalImage& image);
   /// Locks `key` for `txn` and appends the write to `writes`; false if
   /// another transaction holds the key. `writes` must have spare capacity,
   /// so a lock is never taken without its staged write.
   bool stage(TxnId txn, const std::string& key, std::string value,
              std::vector<StagedWrite>& writes);
-  /// Makes `value` the slot's committed value.
-  void install(Slot& slot, std::string&& value);
+  /// Makes `value` (a std::string to move from, or a view to copy) the
+  /// slot's committed value.
+  template <typename Value>
+  void install(Slot& slot, Value&& value);
   /// Releases the locks `writes` took, erasing the slots that hold no
   /// committed value.
   void release(const std::vector<StagedWrite>& writes);

@@ -24,57 +24,88 @@ RecoveryManager::RecoveryManager(std::vector<KvStore*> shards, Options options)
       "shard_ids must be empty or parallel to the shards vector");
 }
 
+namespace {
+
+/// Adds one recorded copy of a list to `ids`. The copies of a list on
+/// different shards are normally identical, and then a copy equal to what
+/// `ids` holds adds nothing; sort_unique makes any other mix a union.
+template <typename Int>
+void merge_copy(const std::vector<Int>& copy, std::vector<Int>& ids) {
+  if (ids != copy) ids.insert(ids.end(), copy.begin(), copy.end());
+}
+
+/// Sorts `ids` and drops repeats.
+template <typename Int>
+void sort_unique(std::vector<Int>& ids) {
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+}
+
+}  // namespace
+
 BatchSurvey RecoveryManager::survey_all() const {
   BatchSurvey survey;
   survey.statuses.resize(shards_.size());
-  std::map<TxnId, std::set<int32_t>> participant_sets;
-  std::map<int64_t, std::set<TxnId>> seal_sets;
+  std::vector<int32_t> participants;  // one record's list, parsed
+  std::vector<TxnId> members;         // one seal's members, parsed
   for (size_t i = 0; i < shards_.size(); ++i) {
-    // Replay the shard's WAL again: the live KvStore only retains staged
+    // Read the shard's WAL again: the live KvStore only retains staged
     // state, but recovery needs the full outcome history. ONE read-only
-    // replay per shard, through the store's own log, covers every
-    // transaction — the multi-shot scan. It reads what has been flushed.
+    // scan per shard, through the store's own log, covers every
+    // transaction — the multi-shot scan. It reads what has been flushed,
+    // as views into one read of the file.
     auto& statuses = survey.statuses[i];
-    for (const auto& record : shards_[i]->wal().replay()) {
+    // A transaction's records mostly arrive together, and ids mostly ascend,
+    // so the entry touched last is a good hint for the next.
+    auto last = statuses.end();
+    const auto status_of = [&](TxnId txn, ShardTxnStatus first) -> ShardTxnStatus& {
+      if (last == statuses.end() || last->first != txn) {
+        last = statuses.try_emplace(last, txn, first);
+      }
+      return last->second;
+    };
+    auto last_list = survey.participants.end();
+    const WalImage image = shards_[i]->wal().read();
+    for (const WalRecordView& record : image.records) {
       switch (record.type) {
         case WalRecordType::kBegin:
-        case WalRecordType::kWrite: {
-          auto [it, inserted] =
-              statuses.emplace(record.txn_id, ShardTxnStatus::kStagedOnly);
-          (void)it;
-          (void)inserted;
+        case WalRecordType::kWrite:
+          status_of(record.txn_id, ShardTxnStatus::kStagedOnly);
           break;
-        }
         case WalRecordType::kPrepared:
-          statuses[record.txn_id] = ShardTxnStatus::kPrepared;
-          for (int32_t id : decode_participant_list(record.value)) {
-            participant_sets[record.txn_id].insert(id);
+          status_of(record.txn_id, ShardTxnStatus::kPrepared) = ShardTxnStatus::kPrepared;
+          if (!record.value.empty()) {
+            participants.clear();
+            append_participant_list(record.value, participants);
+            last_list = survey.participants.try_emplace(last_list, record.txn_id);
+            merge_copy(participants, last_list->second);
           }
           break;
         case WalRecordType::kCommit:
-          statuses[record.txn_id] = ShardTxnStatus::kCommitted;
+          status_of(record.txn_id, ShardTxnStatus::kCommitted) =
+              ShardTxnStatus::kCommitted;
           break;
         case WalRecordType::kAbort:
-          statuses[record.txn_id] = ShardTxnStatus::kAborted;
+          status_of(record.txn_id, ShardTxnStatus::kAborted) = ShardTxnStatus::kAborted;
           break;
         case WalRecordType::kSnapshot:
           break;  // checkpointed committed state; carries no per-txn status
         case WalRecordType::kBatchSeal:
           // The same seal is appended to every shard its batch touched; a
           // torn group can leave it on a strict subset, so merge.
-          for (TxnId member : decode_txn_list(record.value)) {
-            seal_sets[record.txn_id].insert(member);
+          if (!record.value.empty()) {
+            members.clear();
+            append_txn_list(record.value, members);
+            merge_copy(members, survey.batches[record.txn_id]);
           }
           break;
       }
     }
   }
-  for (const auto& [txn, ids] : participant_sets) {
-    survey.participants[txn].assign(ids.begin(), ids.end());
-  }
-  for (const auto& [batch, members] : seal_sets) {
-    survey.batches[batch].assign(members.begin(), members.end());
-  }
+  // Each prepared shard recorded the transaction's list, and each touched
+  // shard its batch's seal: keep the sorted union of the copies.
+  for (auto& entry : survey.participants) sort_unique(entry.second);
+  for (auto& entry : survey.batches) sort_unique(entry.second);
   return survey;
 }
 

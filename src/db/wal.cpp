@@ -1,6 +1,10 @@
 #include "db/wal.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <charconv>
 #include <cstring>
 
@@ -59,65 +63,121 @@ void append_frame(std::vector<uint8_t>& out, WalRecordType type, int64_t txn,
   out.resize(start + 8 + length);
 }
 
-WalRecord decode_record(std::span<const uint8_t> body) {
-  BufReader r(body);
-  WalRecord record;
-  const uint8_t raw_type = r.u8();
-  // An unchecked enum cast would let a type byte outside WalRecordType sail
-  // through recovery's switches unmatched — silently dropping a record whose
-  // CRC said it was intact. Reject it instead: replay stops here and trusts
-  // nothing after (same policy as a CRC mismatch).
-  if (raw_type < static_cast<uint8_t>(WalRecordType::kBegin) ||
-      raw_type > static_cast<uint8_t>(WalRecordType::kBatchSeal)) {
-    throw CodecError("unknown WAL record type " + std::to_string(raw_type));
-  }
-  record.type = static_cast<WalRecordType>(raw_type);
-  record.txn_id = r.svarint();
-  record.key = r.str();
-  record.value = r.str();
-  if (!r.exhausted()) throw CodecError("trailing bytes in WAL record");
-  return record;
+uint32_t get_le32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
-/// Scans a WAL file: the decodable record prefix plus the byte offset where
-/// trust ends (first torn, corrupt, or structurally invalid frame).
-struct WalScan {
-  std::vector<WalRecord> records;
-  size_t valid_end = 0;
-  size_t file_size = 0;
-};
+/// Reads an unsigned LEB128 varint of at most ten bytes, as
+/// BufReader::varint does; false when the body ends first or an eleventh
+/// byte would be needed.
+bool get_varint(const uint8_t*& p, const uint8_t* end, uint64_t& out) {
+  uint64_t result = 0;
+  for (int shift = 0; shift < 64; shift += 7) {
+    if (p == end) return false;
+    const uint8_t byte = *p++;
+    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) {
+      out = result;
+      return true;
+    }
+  }
+  return false;
+}
 
-WalScan scan_wal(const std::filesystem::path& path) {
-  WalScan scan;
+/// Reads a length-prefixed string as a view; false on a length past `end`.
+bool get_str(const uint8_t*& p, const uint8_t* end, std::string_view& out) {
+  uint64_t length = 0;
+  if (!get_varint(p, end, length) || length > static_cast<uint64_t>(end - p)) {
+    return false;
+  }
+  out = {reinterpret_cast<const char*>(p), static_cast<size_t>(length)};
+  p += length;
+  return true;
+}
+
+/// Decodes one frame body — [type, svarint txn, key, value] — into `view`,
+/// pointing into the body. False when the body is malformed.
+bool decode_body(std::span<const uint8_t> body, WalRecordView& view) {
+  const uint8_t* p = body.data();
+  const uint8_t* const end = p + body.size();
+  if (p == end) return false;
+  const uint8_t raw_type = *p++;
+  // An unchecked enum cast would let a type byte outside WalRecordType sail
+  // through recovery's switches unmatched — silently dropping a record whose
+  // CRC said it was intact. Reject it instead: the scan stops here and
+  // trusts nothing after (same policy as a CRC mismatch).
+  if (raw_type < static_cast<uint8_t>(WalRecordType::kBegin) ||
+      raw_type > static_cast<uint8_t>(WalRecordType::kBatchSeal)) {
+    return false;
+  }
+  uint64_t zigzag = 0;
+  if (!get_varint(p, end, zigzag) || !get_str(p, end, view.key) ||
+      !get_str(p, end, view.value)) {
+    return false;
+  }
+  view.type = static_cast<WalRecordType>(raw_type);
+  view.txn_id = static_cast<int64_t>((zigzag >> 1) ^ (~(zigzag & 1) + 1));
+  return p == end;  // trailing bytes are malformed too
+}
+
+/// Reads the whole file in one sized read. A missing or empty file reads as
+/// empty after one stat, without being opened. A file that cannot be read
+/// is a CheckFailure: treating it as empty would let the open truncate or
+/// append past records it never saw.
+WalImage read_file(const std::filesystem::path& path) {
+  WalImage image;
   std::error_code ec;
   const auto size = std::filesystem::file_size(path, ec);
-  if (ec || size == 0) return scan;
-  scan.file_size = static_cast<size_t>(size);
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return scan;
+  if (ec || size == 0) return image;
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0 && errno == ENOENT) return image;  // removed since the stat
+  RCOMMIT_CHECK_MSG(fd >= 0, "cannot open WAL for reading at " << path.string());
+  image.bytes = std::make_unique_for_overwrite<uint8_t[]>(static_cast<size_t>(size));
+  bool failed = false;
+  while (image.size < size) {
+    const ssize_t got = ::read(fd, image.bytes.get() + image.size, size - image.size);
+    if (got < 0 && errno == EINTR) continue;
+    failed = got < 0;
+    if (got <= 0) break;  // an error, or a file that shrank under us
+    image.size += static_cast<size_t>(got);
+  }
+  ::close(fd);
+  RCOMMIT_CHECK_MSG(!failed, "cannot read WAL at " << path.string());
+  return image;
+}
 
-  // One sized read of the whole file.
-  std::vector<uint8_t> file_bytes(scan.file_size);
-  in.read(reinterpret_cast<char*>(file_bytes.data()),
-          static_cast<std::streamsize>(file_bytes.size()));
-  file_bytes.resize(static_cast<size_t>(in.gcount()));
+/// The log's one frame scanner. It first checks every frame's length and
+/// CRC, stopping at the first torn or corrupt frame, and counts the intact
+/// ones, so the views are sized once. It then decodes those frames in order
+/// and stops at the first malformed body. Sets the image's trusted end and
+/// write count; with `keep_views`, also one view per record.
+void scan_frames(WalImage& image, bool keep_views) {
+  const uint8_t* const data = image.bytes.get();
+  size_t crc_end = 0;
+  size_t frames = 0;
+  while (crc_end + 8 <= image.size) {
+    const size_t length = get_le32(data + crc_end);
+    if (length > image.size - crc_end - 8) break;  // torn final record
+    const std::span<const uint8_t> body(data + crc_end + 8, length);
+    if (crc32c(body) != get_le32(data + crc_end + 4)) break;  // corrupt record
+    crc_end += 8 + length;
+    ++frames;
+  }
+  if (keep_views) image.records.reserve(frames);
   size_t pos = 0;
-  while (pos + 8 <= file_bytes.size()) {
-    BufReader header(std::span<const uint8_t>(file_bytes.data() + pos, 8));
-    const uint32_t length = header.u32();
-    const uint32_t crc = header.u32();
-    if (pos + 8 + length > file_bytes.size()) break;  // torn final record
-    const std::span<const uint8_t> body(file_bytes.data() + pos + 8, length);
-    if (crc32c(body) != crc) break;  // corrupt record: trust nothing after it
-    try {
-      scan.records.push_back(decode_record(body));
-    } catch (const CodecError&) {
-      break;  // structurally invalid despite matching CRC — stop here
+  WalRecordView view;
+  while (pos < crc_end) {
+    const size_t length = get_le32(data + pos);
+    // Structurally invalid despite a matching CRC: trust nothing from here.
+    if (!decode_body(std::span<const uint8_t>(data + pos + 8, length), view)) break;
+    if (keep_views) image.records.push_back(view);
+    if (view.type == WalRecordType::kWrite || view.type == WalRecordType::kSnapshot) {
+      ++image.write_count;
     }
     pos += 8 + length;
-    scan.valid_end = pos;
   }
-  return scan;
+  image.valid_end = pos;
 }
 
 template <typename Int>
@@ -132,13 +192,13 @@ std::string encode_id_list(const std::vector<Int>& ids) {
   return out;
 }
 
-/// Parses comma-separated non-negative decimal ids in place. Every part must
-/// be a non-empty run of digits that fits Int: an empty part, a sign, a
-/// stray character or an out-of-range id throws CheckFailure.
+/// Parses comma-separated non-negative decimal ids in place, appending them
+/// to `ids`. Every part must be a non-empty run of digits that fits Int: an
+/// empty part, a sign, a stray character or an out-of-range id throws
+/// CheckFailure.
 template <typename Int>
-std::vector<Int> decode_id_list(std::string_view text, const char* what) {
-  std::vector<Int> ids;
-  if (text.empty()) return ids;
+void append_id_list(std::string_view text, const char* what, std::vector<Int>& ids) {
+  if (text.empty()) return;
   const char* pos = text.data();
   const char* const end = text.data() + text.size();
   while (true) {
@@ -152,7 +212,6 @@ std::vector<Int> decode_id_list(std::string_view text, const char* what) {
     if (comma == end) break;
     pos = comma + 1;
   }
-  return ids;
 }
 
 }  // namespace
@@ -162,7 +221,13 @@ std::string encode_participant_list(const std::vector<int32_t>& ids) {
 }
 
 std::vector<int32_t> decode_participant_list(std::string_view text) {
-  return decode_id_list<int32_t>(text, "participant list");
+  std::vector<int32_t> ids;
+  append_participant_list(text, ids);
+  return ids;
+}
+
+void append_participant_list(std::string_view text, std::vector<int32_t>& ids) {
+  append_id_list(text, "participant list", ids);
 }
 
 std::string encode_txn_list(const std::vector<int64_t>& ids) {
@@ -170,32 +235,38 @@ std::string encode_txn_list(const std::vector<int64_t>& ids) {
 }
 
 std::vector<int64_t> decode_txn_list(std::string_view text) {
-  return decode_id_list<int64_t>(text, "txn list");
+  std::vector<int64_t> ids;
+  append_txn_list(text, ids);
+  return ids;
+}
+
+void append_txn_list(std::string_view text, std::vector<int64_t>& ids) {
+  append_id_list(text, "txn list", ids);
 }
 
 WriteAheadLog::WriteAheadLog(std::filesystem::path path) : path_(std::move(path)) {
-  scan_and_open();
+  scan_and_open(false);
 }
 
-WriteAheadLog::WriteAheadLog(std::filesystem::path path,
-                             std::vector<WalRecord>& recovered)
+WriteAheadLog::WriteAheadLog(std::filesystem::path path, WalImage& image)
     : path_(std::move(path)) {
-  recovered = scan_and_open();
+  image = scan_and_open(true);
 }
 
-std::vector<WalRecord> WriteAheadLog::scan_and_open() {
+WalImage WriteAheadLog::scan_and_open(bool keep_views) {
   // Replay stops at the first torn/corrupt frame and trusts nothing after it
   // — so anything appended after such a frame would be unreachable forever.
   // Make the distrust durable: truncate the invalid tail before appending.
   // (The crash-point torture suite caught exactly this: recovery's COMMIT
   // record landing after a torn frame, lost on the next open.)
-  WalScan scan = scan_wal(path_);
-  if (scan.valid_end < scan.file_size) {
-    std::filesystem::resize_file(path_, scan.valid_end);
+  WalImage image = read_file(path_);
+  scan_frames(image, keep_views);
+  if (image.valid_end < image.size) {
+    std::filesystem::resize_file(path_, image.valid_end);
   }
   out_.open(path_, std::ios::binary | std::ios::app);
   RCOMMIT_CHECK_MSG(out_.is_open(), "cannot open WAL at " << path_.string());
-  return std::move(scan.records);
+  return image;
 }
 
 void WriteAheadLog::append(const WalRecord& record) {
@@ -295,8 +366,21 @@ void WriteAheadLog::flush_pending() {
   write_frame(std::span<const uint8_t>(scratch_));
 }
 
+WalImage WriteAheadLog::read() const {
+  WalImage image = read_file(path_);
+  scan_frames(image, true);
+  return image;
+}
+
 std::vector<WalRecord> WriteAheadLog::replay() const {
-  return scan_wal(path_).records;
+  const WalImage image = read();
+  std::vector<WalRecord> records;
+  records.reserve(image.records.size());
+  for (const WalRecordView& view : image.records) {
+    records.push_back(
+        {view.type, view.txn_id, std::string(view.key), std::string(view.value)});
+  }
+  return records;
 }
 
 }  // namespace rcommit::db

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -49,6 +50,28 @@ struct WalRecord {
   std::string value;  ///< kWrite / kPrepared (participant list)
 
   bool operator==(const WalRecord&) const = default;
+};
+
+/// One intact record of a scanned log. Key and value point into the
+/// WalImage that holds the view and stay valid for as long as it lives.
+struct WalRecordView {
+  WalRecordType type = WalRecordType::kBegin;
+  int64_t txn_id = 0;
+  std::string_view key;
+  std::string_view value;
+};
+
+/// A log as one sized read of its file left it: the bytes, and a view of
+/// each record of the trusted prefix into them. Move-only; a move keeps the
+/// views valid, because the bytes never relocate.
+struct WalImage {
+  std::unique_ptr<uint8_t[]> bytes;
+  size_t size = 0;       ///< bytes read
+  size_t valid_end = 0;  ///< end of the trusted prefix; the rest is a torn
+                         ///< or corrupt tail
+  std::vector<WalRecordView> records;
+  /// kWrite and kSnapshot records: a bound on the keys a replay installs.
+  size_t write_count = 0;
 };
 
 /// Thrown by WriteAheadLog::append when the installed fault hook demands a
@@ -102,6 +125,9 @@ class WalFaultHook {
 /// non-digit (a sign included) or an id outside int32 (the record's CRC
 /// already passed, so a parse failure here is a logic bug, not corruption).
 [[nodiscard]] std::vector<int32_t> decode_participant_list(std::string_view text);
+/// decode_participant_list appending to `ids`, so a scan can parse every
+/// list of a log into buffers it reuses.
+void append_participant_list(std::string_view text, std::vector<int32_t>& ids);
 
 /// Encodes a kBatchSeal member list (64-bit instance ids, comma-separated
 /// decimal) into the record's value field. Same format family as the
@@ -110,6 +136,8 @@ class WalFaultHook {
 /// Inverse of encode_txn_list; "" decodes to the empty list. Same parsing
 /// and rejection rules as decode_participant_list, over int64 ids.
 [[nodiscard]] std::vector<int64_t> decode_txn_list(std::string_view text);
+/// decode_txn_list appending to `ids`.
+void append_txn_list(std::string_view text, std::vector<int64_t>& ids);
 
 /// Monotonic WAL counters. `records_appended` counts logical appends
 /// (buffered appends included); `flushes` counts physical write+flush calls,
@@ -139,12 +167,13 @@ class WriteAheadLog {
  public:
   /// Opens (creating if absent) the log at `path` for appending. The open
   /// scans the file once and truncates a torn or corrupt tail, so appends
-  /// always extend the trusted prefix.
+  /// always extend the trusted prefix. It keeps nothing of the scan.
   explicit WriteAheadLog(std::filesystem::path path);
-  /// Same open, and hands back that scan's records — exactly what replay()
-  /// returns afterwards — so an owner rebuilding its state from the log
-  /// (KvStore) reads the file once instead of twice.
-  WriteAheadLog(std::filesystem::path path, std::vector<WalRecord>& recovered);
+  /// Same open, and hands that scan's image to `image` — the records read()
+  /// returns afterwards, as views into the file's bytes — so an owner
+  /// rebuilding its state from the log (KvStore) reads the file once and
+  /// copies out only what it keeps.
+  WriteAheadLog(std::filesystem::path path, WalImage& image);
 
   /// Appends one record, framed and checksummed. Outside group mode the
   /// frame is written and flushed immediately, with the installed fault
@@ -182,13 +211,18 @@ class WriteAheadLog {
   void end_group();
   [[nodiscard]] bool group_open() const { return group_open_; }
 
-  /// Reads every intact record from the start of the log. Stops (without
-  /// throwing) at the first torn or corrupt frame — everything before it is
+  /// Reads every intact record from the start of the log, in one sized
+  /// read of the file, as views into those bytes. Stops (without throwing)
+  /// at the first torn or corrupt frame — everything before it is
   /// trustworthy, everything after is garbage from an interrupted append.
-  /// A frame whose CRC matches but whose type byte is outside WalRecordType
-  /// is treated the same way: recovery rejects it and trusts nothing after.
-  /// Read-only: it neither truncates nor reopens the file, and sees only
-  /// what has been flushed (a pending group is invisible to it).
+  /// A frame whose CRC matches but whose body is malformed (a type byte
+  /// outside WalRecordType, an overlong varint, a length past the body's
+  /// end, trailing bytes) is treated the same way: recovery rejects it and
+  /// trusts nothing after. Read-only: it neither truncates nor reopens the
+  /// file, and sees only what has been flushed (a pending group is
+  /// invisible to it).
+  [[nodiscard]] WalImage read() const;
+  /// read(), with each record copied out into a WalRecord.
   [[nodiscard]] std::vector<WalRecord> replay() const;
 
   /// Installs (or clears, with nullptr) the per-append fault hook. Non-owning.
@@ -202,8 +236,8 @@ class WriteAheadLog {
 
  private:
   /// Scans the file, truncates the distrusted tail and opens the append
-  /// handle; returns the scan's records.
-  std::vector<WalRecord> scan_and_open();
+  /// handle; returns the scan's image, with views only if `keep_views`.
+  WalImage scan_and_open(bool keep_views);
   /// Writes `bytes` (one frame, or a whole pending group) through the fault
   /// hook and flushes. May throw CrashInjected per the hook's verdict.
   void write_frame(std::span<const uint8_t> bytes);

@@ -1,16 +1,21 @@
-// Tests for the database substrate: WAL framing and recovery, locks, the
-// KV two-phase lifecycle, crash recovery with in-doubt transactions, and
-// end-to-end distributed transactions over the threaded commit protocol.
+// Tests for the database substrate: WAL framing, scanning and recovery,
+// locks, the KV two-phase lifecycle, crash recovery with in-doubt
+// transactions, reopen checked against a reference replay, and end-to-end
+// distributed transactions over the threaded commit protocol.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <optional>
+#include <string_view>
 
 #include "common/check.h"
+#include "common/codec.h"
+#include "common/rng.h"
 #include "db/kv.h"
 #include "db/txn.h"
 #include "db/wal.h"
@@ -115,8 +120,8 @@ TEST(Wal, CorruptRecordStopsReplay) {
 }
 
 TEST(Wal, OpenScanMatchesReplayAfterTruncation) {
-  // The open's single scan is what KvStore rebuilds from: its records must
-  // equal a later replay() on a clean end, a torn final frame and a
+  // The open's single scan is what KvStore rebuilds from: its image's views
+  // must equal a later replay() on a clean end, a torn final frame and a
   // CRC-corrupt middle frame, and the store must reflect exactly them.
   const std::vector<WalRecord> log = {
       {WalRecordType::kBegin, 1, "", ""},    {WalRecordType::kWrite, 1, "k1", "v1"},
@@ -156,8 +161,15 @@ TEST(Wal, OpenScanMatchesReplayAfterTruncation) {
 
     std::vector<WalRecord> opened;
     {
-      WriteAheadLog wal(wal_path, opened);
+      WalImage image;
+      WriteAheadLog wal(wal_path, image);
+      for (const WalRecordView& view : image.records) {
+        opened.push_back({view.type, view.txn_id, std::string(view.key),
+                          std::string(view.value)});
+      }
       EXPECT_EQ(opened, wal.replay());
+      EXPECT_EQ(image.valid_end, frame_end[intact - 1]);
+      EXPECT_EQ(image.write_count, intact >= 5 ? 2u : 1u);
     }
     EXPECT_EQ(opened, std::vector<WalRecord>(log.begin(), log.begin() +
                                                            static_cast<ptrdiff_t>(intact)));
@@ -988,6 +1000,488 @@ TEST(Kv, CheckpointBytesMatchCapturedGolden) {
   reopened.commit(7);
   EXPECT_EQ(reopened.get("q"), "second");
   EXPECT_EQ(reopened.get("c"), "x");
+}
+
+// --- WAL scanner ------------------------------------------------------------------
+//
+// Frames are built by hand here, so a test can put a CRC-valid but
+// malformed body anywhere in a log.
+
+/// A record body as the log encodes it: type, zigzag txn id, key, value.
+std::vector<uint8_t> record_body(uint8_t type, int64_t txn, std::string_view key,
+                                 std::string_view value) {
+  BufWriter w;
+  w.u8(type);
+  w.svarint(txn);
+  w.str(key);
+  w.str(value);
+  return w.take();
+}
+
+std::vector<uint8_t> record_body(const WalRecord& record) {
+  return record_body(static_cast<uint8_t>(record.type), record.txn_id, record.key,
+                     record.value);
+}
+
+/// Appends [length][crc32c][body] to `out`.
+void put_frame(std::vector<uint8_t>& out, const std::vector<uint8_t>& body) {
+  BufWriter header;
+  header.u32(static_cast<uint32_t>(body.size()));
+  header.u32(crc32c(body));
+  out.insert(out.end(), header.data().begin(), header.data().end());
+  out.insert(out.end(), body.begin(), body.end());
+}
+
+void write_bytes(const fs::path& path, const std::vector<uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// CRC-valid bodies the scanner must reject, each with its name.
+std::vector<std::pair<std::string, std::vector<uint8_t>>> malformed_bodies() {
+  std::vector<std::pair<std::string, std::vector<uint8_t>>> out;
+  out.emplace_back("empty body", std::vector<uint8_t>{});
+  out.emplace_back("type 0", record_body(0, 1, "k", "v"));
+  out.emplace_back("type 8", record_body(8, 1, "k", "v"));
+  out.emplace_back("type 255", record_body(255, 1, "k", "v"));
+  std::vector<uint8_t> trailing = record_body(2, 1, "k", "v");
+  trailing.push_back(0);
+  out.emplace_back("trailing byte", trailing);
+  // A txn varint of eleven bytes: ten continuation bytes, then a last one.
+  std::vector<uint8_t> overlong = {2};
+  overlong.insert(overlong.end(), 10, 0x80);
+  overlong.insert(overlong.end(), {0x00, 0x01, 'k', 0x01, 'v'});
+  out.emplace_back("overlong varint", overlong);
+  // A key length one past the body's end.
+  out.emplace_back("key length overrun", std::vector<uint8_t>{2, 2, 0x05, 'a', 'b', 'c', 'd'});
+  out.emplace_back("value length overrun",
+                   std::vector<uint8_t>{2, 2, 0x01, 'k', 0x7f, 'v'});
+  // A varint cut off by the body's end.
+  out.emplace_back("truncated varint", std::vector<uint8_t>{2, 0x80});
+  return out;
+}
+
+TEST(WalScan, MalformedBodyEndsTheTrustedPrefix) {
+  const std::vector<WalRecord> before = {{WalRecordType::kBegin, 1, "", ""},
+                                         {WalRecordType::kWrite, 1, "k", "v"}};
+  const WalRecord after = {WalRecordType::kCommit, 1, "", ""};
+  for (const auto& [name, body] : malformed_bodies()) {
+    SCOPED_TRACE(name);
+    TempDir dir;
+    const auto path = dir.path() / "malformed.wal";
+    std::vector<uint8_t> bytes;
+    for (const auto& record : before) put_frame(bytes, record_body(record));
+    const size_t prefix = bytes.size();
+    put_frame(bytes, body);
+    put_frame(bytes, record_body(after));
+    write_bytes(path, bytes);
+
+    WalImage image;
+    {
+      WriteAheadLog wal(path, image);
+      EXPECT_EQ(wal.replay(), before);
+      const WalImage again = wal.read();
+      EXPECT_EQ(again.valid_end, prefix);
+      EXPECT_EQ(again.records.size(), before.size());
+    }
+    EXPECT_EQ(image.valid_end, prefix);
+    EXPECT_EQ(image.size, bytes.size());
+    ASSERT_EQ(image.records.size(), before.size());
+    EXPECT_EQ(image.records[1].key, "k");
+    EXPECT_EQ(image.records[1].value, "v");
+    EXPECT_EQ(image.write_count, 1u);
+    EXPECT_EQ(fs::file_size(path), prefix);  // the open truncated the rest
+  }
+}
+
+TEST(WalScan, VarintsRunToTenBytes) {
+  // BufReader's rule, kept by the scanner: ten bytes are legal, the tenth
+  // byte's bits past 64 are dropped, and an eleventh byte is malformed.
+  TempDir dir;
+  const auto path = dir.path() / "varint.wal";
+  std::vector<uint8_t> ten = {1};
+  ten.insert(ten.end(), 9, 0xff);
+  ten.insert(ten.end(), {0x7f, 0x00, 0x00});
+  std::vector<uint8_t> bytes;
+  put_frame(bytes, ten);
+  put_frame(bytes, record_body(1, -1, "", ""));
+  write_bytes(path, bytes);
+  WriteAheadLog wal(path);
+  const auto records = wal.replay();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].txn_id, std::numeric_limits<int64_t>::min());  // zigzag of ~0
+  EXPECT_EQ(records[1].txn_id, -1);
+  EXPECT_EQ(fs::file_size(path), bytes.size());
+}
+
+TEST(WalScan, ViewsSurviveMovingTheImage) {
+  TempDir dir;
+  const auto path = dir.path() / "move.wal";
+  const std::string value(100, 'x');
+  {
+    WriteAheadLog wal(path);
+    wal.append(WalRecordType::kSnapshot, 0, "a-key-past-the-small-buffer", value);
+  }
+  WalImage image;
+  { WriteAheadLog wal(path, image); }
+  const WalImage moved = std::move(image);
+  ASSERT_EQ(moved.records.size(), 1u);
+  EXPECT_EQ(moved.records[0].key, "a-key-past-the-small-buffer");
+  EXPECT_EQ(moved.records[0].value, value);
+  EXPECT_EQ(moved.write_count, 1u);
+}
+
+TEST(WalScan, MissingAndEmptyLogsScanEmpty) {
+  TempDir dir;
+  for (const bool create : {false, true}) {
+    const auto path = dir.path() / (create ? "empty.wal" : "missing.wal");
+    if (create) write_bytes(path, {});
+    WalImage image;
+    WriteAheadLog wal(path, image);
+    EXPECT_TRUE(image.records.empty());
+    EXPECT_EQ(image.size, 0u);
+    EXPECT_EQ(image.valid_end, 0u);
+    EXPECT_TRUE(wal.read().records.empty());
+    EXPECT_TRUE(fs::exists(path));  // the open creates the log
+  }
+}
+
+// --- reopen differential ------------------------------------------------------------
+//
+// KvStore's reopen replays views of the log through a flat transaction index.
+// The reference below is the reopen it replaced, kept verbatim in substance:
+// a BufReader decode of every frame into WalRecords, then a replay through a
+// std::map of pending transactions. Both must rebuild the same store from
+// the same bytes.
+
+namespace reference {
+
+WalRecord decode_record(std::span<const uint8_t> body) {
+  BufReader r(body);
+  WalRecord record;
+  const uint8_t raw_type = r.u8();
+  if (raw_type < static_cast<uint8_t>(WalRecordType::kBegin) ||
+      raw_type > static_cast<uint8_t>(WalRecordType::kBatchSeal)) {
+    throw CodecError("unknown WAL record type " + std::to_string(raw_type));
+  }
+  record.type = static_cast<WalRecordType>(raw_type);
+  record.txn_id = r.svarint();
+  record.key = r.str();
+  record.value = r.str();
+  if (!r.exhausted()) throw CodecError("trailing bytes in WAL record");
+  return record;
+}
+
+struct Scan {
+  std::vector<WalRecord> records;
+  size_t valid_end = 0;
+};
+
+Scan scan(const std::vector<uint8_t>& bytes) {
+  Scan out;
+  size_t pos = 0;
+  while (pos + 8 <= bytes.size()) {
+    BufReader header(std::span<const uint8_t>(bytes.data() + pos, 8));
+    const uint32_t length = header.u32();
+    const uint32_t crc = header.u32();
+    if (pos + 8 + length > bytes.size()) break;
+    const std::span<const uint8_t> body(bytes.data() + pos + 8, length);
+    if (crc32c(body) != crc) break;
+    try {
+      out.records.push_back(decode_record(body));
+    } catch (const CodecError&) {
+      break;
+    }
+    pos += 8 + length;
+    out.valid_end = pos;
+  }
+  return out;
+}
+
+/// What a reopened store holds. `in_doubt` keeps each transaction's staged
+/// writes in order (repeated keys included) and its participant list —
+/// exactly what checkpoint() writes back.
+struct Store {
+  std::map<std::string, std::string> committed;
+  struct Staged {
+    std::vector<KvWrite> writes;
+    std::vector<int32_t> participants;
+  };
+  std::map<TxnId, Staged> in_doubt;
+  std::map<std::string, TxnId> locks;
+  bool conflict = false;  ///< two in-doubt transactions share a key
+};
+
+Store replay(std::vector<WalRecord> records) {
+  struct Pending {
+    std::vector<KvWrite> writes;
+    std::vector<int32_t> participants;
+    bool prepared = false;
+  };
+  Store store;
+  std::map<TxnId, Pending> pending;
+  for (auto& record : records) {
+    switch (record.type) {
+      case WalRecordType::kBegin:
+        pending[record.txn_id];
+        break;
+      case WalRecordType::kWrite:
+        pending[record.txn_id].writes.push_back(
+            {std::move(record.key), std::move(record.value)});
+        break;
+      case WalRecordType::kPrepared: {
+        Pending& entry = pending[record.txn_id];
+        entry.prepared = true;
+        entry.participants = decode_participant_list(record.value);
+        break;
+      }
+      case WalRecordType::kCommit: {
+        auto it = pending.find(record.txn_id);
+        if (it != pending.end()) {
+          for (auto& write : it->second.writes) {
+            store.committed[std::move(write.key)] = std::move(write.value);
+          }
+          pending.erase(it);
+        }
+        break;
+      }
+      case WalRecordType::kAbort:
+        pending.erase(record.txn_id);
+        break;
+      case WalRecordType::kSnapshot:
+        store.committed[std::move(record.key)] = std::move(record.value);
+        break;
+      case WalRecordType::kBatchSeal:
+        break;
+    }
+  }
+  for (auto& [txn, leftover] : pending) {
+    if (!leftover.prepared) continue;
+    for (const auto& write : leftover.writes) {
+      const auto [it, inserted] = store.locks.try_emplace(write.key, txn);
+      if (!inserted && it->second != txn) store.conflict = true;
+    }
+    store.in_doubt[txn] = {std::move(leftover.writes), std::move(leftover.participants)};
+  }
+  return store;
+}
+
+/// The bytes checkpoint() writes for `store`: kSnapshot records in key
+/// order, then each in-doubt transaction's BEGIN, WRITEs and PREPARED.
+std::vector<uint8_t> checkpoint_bytes(const Store& store) {
+  std::vector<uint8_t> bytes;
+  for (const auto& [key, value] : store.committed) {
+    put_frame(bytes, record_body({WalRecordType::kSnapshot, 0, key, value}));
+  }
+  for (const auto& [txn, staged] : store.in_doubt) {
+    put_frame(bytes, record_body({WalRecordType::kBegin, txn, "", ""}));
+    for (const auto& write : staged.writes) {
+      put_frame(bytes, record_body({WalRecordType::kWrite, txn, write.key, write.value}));
+    }
+    put_frame(bytes, record_body({WalRecordType::kPrepared, txn, "",
+                                  encode_participant_list(staged.participants)}));
+  }
+  return bytes;
+}
+
+}  // namespace reference
+
+/// Writes `bytes` as a log, reopens it as a KvStore and checks the store
+/// against the reference replay of the same bytes: committed state, in-doubt
+/// set, locks, the truncated size, and the checkpoint's bytes (which carry
+/// every in-doubt write and participant list).
+void expect_reopen_matches_reference(const std::vector<uint8_t>& bytes) {
+  TempDir dir;
+  const auto path = dir.path() / "diff.wal";
+  write_bytes(path, bytes);
+  const reference::Scan scan = reference::scan(bytes);
+  const reference::Store expected = reference::replay(scan.records);
+  if (expected.conflict) {
+    EXPECT_THROW(KvStore store(path), CheckFailure);
+    return;
+  }
+  KvStore store(path);
+  EXPECT_EQ(fs::file_size(path), scan.valid_end);
+  EXPECT_EQ(store.snapshot(), expected.committed);
+  EXPECT_EQ(store.size(), expected.committed.size());
+  std::vector<TxnId> in_doubt;
+  for (const auto& entry : expected.in_doubt) in_doubt.push_back(entry.first);
+  EXPECT_EQ(store.in_doubt(), in_doubt);
+  EXPECT_EQ(store.locks().locked_count(), expected.locks.size());
+  for (const auto& [key, txn] : expected.locks) {
+    EXPECT_EQ(store.locks().holder(key), txn) << key;
+  }
+  store.checkpoint();
+  EXPECT_EQ(file_bytes(path), reference::checkpoint_bytes(expected));
+}
+
+/// A log builder: records as the WAL encodes them, plus raw frames.
+class Script {
+ public:
+  Script& add(WalRecordType type, TxnId txn, std::string key = "",
+              std::string value = "") {
+    put_frame(bytes_, record_body({type, txn, std::move(key), std::move(value)}));
+    ends_.push_back(bytes_.size());
+    return *this;
+  }
+  Script& raw(const std::vector<uint8_t>& body) {
+    put_frame(bytes_, body);
+    ends_.push_back(bytes_.size());
+    return *this;
+  }
+  /// Repeats frames [first, first + count), as a kDuplicate group would.
+  Script& duplicate(size_t first, size_t count) {
+    const size_t begin = first == 0 ? 0 : ends_[first - 1];
+    const std::vector<uint8_t> group(bytes_.begin() + static_cast<ptrdiff_t>(begin),
+                                     bytes_.begin() + static_cast<ptrdiff_t>(
+                                                          ends_[first + count - 1]));
+    for (size_t i = first; i < first + count; ++i) {
+      ends_.push_back(bytes_.size() + ends_[i] - begin);
+    }
+    bytes_.insert(bytes_.end(), group.begin(), group.end());
+    return *this;
+  }
+  [[nodiscard]] size_t frames() const { return ends_.size(); }
+  [[nodiscard]] size_t frame_end(size_t i) const { return ends_[i]; }
+  [[nodiscard]] const std::vector<uint8_t>& bytes() const { return bytes_; }
+
+ private:
+  std::vector<uint8_t> bytes_;
+  std::vector<size_t> ends_;
+};
+
+const std::string kLongKey = "key:long-enough-to-live-on-the-heap";
+
+TEST(KvReopenDiff, InterleavedTransactionsAndDuplicatedGroups) {
+  Script s;
+  s.add(WalRecordType::kBegin, 1).add(WalRecordType::kBegin, 2)
+      .add(WalRecordType::kWrite, 1, "a", "1").add(WalRecordType::kWrite, 2, "b", "2")
+      .add(WalRecordType::kWrite, 1, kLongKey, "1").add(WalRecordType::kPrepared, 2, "", "0,1")
+      .add(WalRecordType::kPrepared, 1, "", "1,0").add(WalRecordType::kCommit, 2)
+      .duplicate(0, 8)  // the whole run again: replay is idempotent
+      .add(WalRecordType::kBegin, 3).add(WalRecordType::kWrite, 3, "c", "3")
+      .add(WalRecordType::kPrepared, 3, "", "0")
+      .duplicate(8, 3);  // txn 3's group twice: its write set repeats "c"
+  expect_reopen_matches_reference(s.bytes());
+  s.add(WalRecordType::kCommit, 1).add(WalRecordType::kAbort, 3);
+  expect_reopen_matches_reference(s.bytes());
+}
+
+TEST(KvReopenDiff, BeginAfterCommitStartsAFreshTransaction) {
+  Script s;
+  s.add(WalRecordType::kBegin, 5).add(WalRecordType::kWrite, 5, "x", "old")
+      .add(WalRecordType::kPrepared, 5).add(WalRecordType::kCommit, 5)
+      .add(WalRecordType::kBegin, 5).add(WalRecordType::kWrite, 5, "y", "new")
+      .add(WalRecordType::kPrepared, 5, "", "2");
+  expect_reopen_matches_reference(s.bytes());  // 5 in doubt over "y" only
+  s.add(WalRecordType::kCommit, 5).add(WalRecordType::kCommit, 5)  // a repeated outcome
+      .add(WalRecordType::kWrite, 5, "z", "orphan");  // a write with no begin
+  expect_reopen_matches_reference(s.bytes());
+}
+
+TEST(KvReopenDiff, RepeatedKeysSnapshotsAndSeals) {
+  Script s;
+  s.add(WalRecordType::kSnapshot, 0, "a", "snap").add(WalRecordType::kSnapshot, 0, kLongKey, "s")
+      .add(WalRecordType::kBegin, 7).add(WalRecordType::kWrite, 7, "a", "first")
+      .add(WalRecordType::kWrite, 7, "b", "b").add(WalRecordType::kWrite, 7, "a", "second")
+      .add(WalRecordType::kPrepared, 7, "", "0,2").add(WalRecordType::kBatchSeal, 7, "", "7,8")
+      .add(WalRecordType::kCommit, 7).add(WalRecordType::kSnapshot, 0, "b", "later snapshot")
+      .add(WalRecordType::kBegin, 8).add(WalRecordType::kWrite, 8, kLongKey, "x")
+      .add(WalRecordType::kWrite, 8, kLongKey, "y").add(WalRecordType::kPrepared, 8, "", "2,0");
+  expect_reopen_matches_reference(s.bytes());
+}
+
+TEST(KvReopenDiff, UnpreparedLeftoversAndConflicts) {
+  Script s;
+  s.add(WalRecordType::kBegin, 1).add(WalRecordType::kWrite, 1, "k", "1")  // never prepared
+      .add(WalRecordType::kWrite, 2, "k", "2").add(WalRecordType::kPrepared, 2)
+      .add(WalRecordType::kBegin, 3).add(WalRecordType::kAbort, 3)
+      .add(WalRecordType::kPrepared, 4);  // prepared with no writes
+  expect_reopen_matches_reference(s.bytes());
+  // Two in-doubt transactions over one key: both refuse to open.
+  s.add(WalRecordType::kWrite, 5, "k", "5").add(WalRecordType::kPrepared, 5);
+  expect_reopen_matches_reference(s.bytes());
+}
+
+TEST(KvReopenDiff, DamagedTails) {
+  Script s;
+  s.add(WalRecordType::kBegin, 1).add(WalRecordType::kWrite, 1, "a", "1")
+      .add(WalRecordType::kPrepared, 1, "", "0").add(WalRecordType::kBegin, 2)
+      .add(WalRecordType::kWrite, 2, kLongKey, "2").add(WalRecordType::kPrepared, 2)
+      .add(WalRecordType::kCommit, 1).add(WalRecordType::kCommit, 2);
+  const std::vector<uint8_t>& whole = s.bytes();
+  // A torn tail at every byte of the last two frames.
+  for (size_t cut = s.frame_end(5); cut < whole.size(); ++cut) {
+    SCOPED_TRACE(cut);
+    expect_reopen_matches_reference({whole.begin(), whole.begin() + static_cast<ptrdiff_t>(cut)});
+  }
+  // A corrupt CRC in the middle: one flipped body byte in each frame.
+  for (size_t frame = 0; frame < s.frames(); ++frame) {
+    SCOPED_TRACE(frame);
+    std::vector<uint8_t> bytes = whole;
+    bytes[(frame == 0 ? 0 : s.frame_end(frame - 1)) + 8] ^= 0x40;
+    expect_reopen_matches_reference(bytes);
+  }
+  // A CRC-valid malformed frame in the middle, with intact frames after it.
+  for (const auto& [name, body] : malformed_bodies()) {
+    SCOPED_TRACE(name);
+    Script damaged;
+    damaged.add(WalRecordType::kBegin, 1).add(WalRecordType::kWrite, 1, "a", "1")
+        .add(WalRecordType::kPrepared, 1).raw(body).add(WalRecordType::kCommit, 1);
+    expect_reopen_matches_reference(damaged.bytes());
+  }
+}
+
+TEST(KvReopenDiff, RandomScriptsMatchTheReference) {
+  // Few ids and keys, so transactions interleave, repeat keys, conflict,
+  // and reuse ids after their outcome; some ids are negative or wide.
+  const std::vector<TxnId> ids = {1, 2, 3, 4, -3, (int64_t{1} << 48) + 1};
+  const std::vector<std::string> keys = {"a", "b", "c", kLongKey, "key:another-heap-sized-key"};
+  const std::vector<std::string> lists = {"", "0", "0,1", "2,0,1"};
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(seed);
+    RandomTape rng(seed);
+    const auto pick = [&rng](const auto& pool) {
+      return pool[rng.next_below(pool.size())];
+    };
+    Script s;
+    const int records = 5 + static_cast<int>(rng.next_below(40));
+    for (int i = 0; i < records; ++i) {
+      const TxnId txn = pick(ids);
+      switch (rng.next_below(10)) {
+        case 0: s.add(WalRecordType::kBegin, txn); break;
+        case 1: case 2: case 3:
+          s.add(WalRecordType::kWrite, txn, pick(keys), "v" + std::to_string(i));
+          break;
+        case 4: s.add(WalRecordType::kPrepared, txn, "", pick(lists)); break;
+        case 5: case 6: s.add(WalRecordType::kCommit, txn); break;
+        case 7: s.add(WalRecordType::kAbort, txn); break;
+        case 8: s.add(WalRecordType::kSnapshot, 0, pick(keys), "s" + std::to_string(i)); break;
+        default: s.add(WalRecordType::kBatchSeal, txn, "", "1,2"); break;
+      }
+      if (rng.next_below(8) == 0) {
+        const size_t count = 1 + rng.next_below(std::min<size_t>(s.frames(), 4));
+        s.duplicate(s.frames() - count, count);
+      }
+    }
+    std::vector<uint8_t> bytes = s.bytes();
+    switch (rng.next_below(4)) {
+      case 0: break;
+      case 1:  // torn tail
+        bytes.erase(bytes.end() - 1 - static_cast<ptrdiff_t>(rng.next_below(6)), bytes.end());
+        break;
+      case 2: bytes[rng.next_below(bytes.size())] ^= 0x10; break;          // corruption
+      default: {                                                           // malformed frame
+        const auto malformed = malformed_bodies();
+        Script tail;
+        tail.raw(pick(malformed).second).add(WalRecordType::kCommit, pick(ids));
+        bytes.insert(bytes.end(), tail.bytes().begin(), tail.bytes().end());
+        break;
+      }
+    }
+    expect_reopen_matches_reference(bytes);
+  }
 }
 
 // --- distributed transactions -----------------------------------------------------

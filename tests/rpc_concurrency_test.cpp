@@ -4,13 +4,16 @@
 // RCOMMIT_LINT_ALLOW_FILE(R2): this test exists to hammer the RPC server from concurrent clients
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <future>
+#include <optional>
 
 #include "db/kv.h"
 #include "db/recovery.h"
 #include "db/rpc.h"
+#include "db/wal.h"
 #include "transport/network.h"
 #include "transport/tcp.h"
 
@@ -109,11 +112,6 @@ TEST_F(RpcClusterFixture, TwoClientsSameKeyAtMostOneCommits) {
   const auto o2 = f2.get();
   ASSERT_TRUE(o1.has_value());
   ASSERT_TRUE(o2.has_value());
-  // No-wait locking: at most one can commit; both aborting is legal (each
-  // grabbed the key on a different shard first).
-  const int commits = (*o1 == Decision::kCommit ? 1 : 0) +
-                      (*o2 == Decision::kCommit ? 1 : 0);
-  EXPECT_LE(commits, 1);
 
   // Whatever happened, the two shards agree on the final value.
   DbTxnClient reader(kShards, net);
@@ -123,6 +121,42 @@ TEST_F(RpcClusterFixture, TwoClientsSameKeyAtMostOneCommits) {
 
   for (auto& server : servers) server->stop();
   net.stop();
+
+  // No-wait locking: while both hold the key, at most one can commit; both
+  // aborting is legal (each grabbed the key on a different shard first).
+  // Nothing makes the two overlap, though: one may prepare and commit on
+  // both shards before the other's prepare arrives, and then both commit
+  // legally. So two commits pass only when the WALs show that serial
+  // history: on each shard one transaction's outcome record comes before
+  // the other's PREPARED, the same one on both shards, and the final value
+  // is the later transaction's.
+  const int commits = (*o1 == Decision::kCommit ? 1 : 0) +
+                      (*o2 == Decision::kCommit ? 1 : 0);
+  if (commits < 2) return;
+  std::optional<TxnId> first;
+  for (int i = 0; i < kShards; ++i) {
+    const std::vector<WalRecord> records = stores[static_cast<size_t>(i)]->wal().replay();
+    const auto position = [&records](TxnId txn, WalRecordType type) {
+      const auto it = std::find_if(records.begin(), records.end(), [&](const WalRecord& r) {
+        return r.txn_id == txn && r.type == type;
+      });
+      return it - records.begin();  // records.size() when absent
+    };
+    const auto outcome_before_prepare = [&](TxnId earlier, TxnId later) {
+      return position(earlier, WalRecordType::kCommit) <
+             position(later, WalRecordType::kPrepared);
+    };
+    const bool one_first = outcome_before_prepare(201, 202);
+    const bool two_first = outcome_before_prepare(202, 201);
+    ASSERT_TRUE(one_first || two_first)
+        << "both transactions committed while both held the key on shard " << i;
+    const TxnId shard_first = one_first ? 201 : 202;
+    if (first.has_value()) {
+      EXPECT_EQ(shard_first, *first) << "the shards serialized the two in opposite orders";
+    }
+    first = shard_first;
+  }
+  EXPECT_EQ(v0, *first == 201 ? "two" : "one") << "the earlier transaction's value won";
 }
 
 TEST_F(RpcClusterFixture, ClusterOverTcpSockets) {

@@ -9,7 +9,9 @@
 // must keep — a group dropped by a kCrashBefore verdict never leaks into a
 // later group's bytes. For the store, a warm commit installs through its
 // staged slot pointers without allocating, and a prepare allocates only
-// what it keeps.
+// what it keeps. For a restart, the WAL's scan allocates a fixed number of
+// buffers whatever the log's length, and a reopen allocates per installed
+// key, not per record.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -261,6 +263,95 @@ TEST(KvAlloc, WarmPrepareOfTwoNewKeysAllocatesAtMostFive) {
   EXPECT_EQ(store.size(), 0u);
   EXPECT_EQ(store.locks().locked_count(), 0u);
   store.wal_end_group();
+}
+
+// --- restart -----------------------------------------------------------------
+//
+// The open's scan keeps the file's bytes and one view per record, both sized
+// once, so its allocations must not grow with the log. A reopen copies out
+// only what it keeps: a table node per installed key (and in a node, its key
+// and value when they are past the small-string buffer).
+
+/// A log of `txns` transactions over a pool of `keys` keys, each writing two
+/// keys with values of one length, so the table's values are overwritten in
+/// place: every fourth transaction aborts, every eighth never prepares, and
+/// the rest commit. Keys and values are past the small-string buffer.
+void write_restart_log(const fs::path& path, int txns, int keys) {
+  const std::string value = "value-of-one-fixed-length-";
+  WriteAheadLog wal(path);
+  wal.begin_group();
+  for (int t = 1; t <= txns; ++t) {
+    const auto key = [&](int i) {
+      return "key:restart-" + std::to_string(1000 + (t * 7 + i) % keys);
+    };
+    wal.append(WalRecordType::kBegin, t, {}, {});
+    wal.append(WalRecordType::kWrite, t, key(0), value + std::to_string(t % 10));
+    wal.append(WalRecordType::kWrite, t, key(1), value + std::to_string(t % 10));
+    if (t % 8 == 0) continue;
+    wal.append(WalRecordType::kPrepared, t, {}, "0,1");
+    wal.append(t % 4 == 0 ? WalRecordType::kAbort : WalRecordType::kCommit, t, {}, {});
+  }
+  wal.append(WalRecordType::kBatchSeal, 1, {}, "1,2,3");
+  wal.end_group();
+}
+
+/// Heap allocations made by `open(path)`.
+template <typename Open>
+uint64_t allocs_of(const fs::path& path, Open&& open) {
+  const uint64_t before = g_heap_allocs;
+  open(path);
+  return g_heap_allocs - before;
+}
+
+TEST(WalScanAlloc, OpenScanAllocationsDoNotGrowWithTheLog) {
+  TempDir dir;
+  // Two logs of one shape, one 16 times the other; same-length names, so
+  // the open's path copies cost the same.
+  const fs::path small = dir.path() / "small.wal";
+  const fs::path large = dir.path() / "large.wal";
+  write_restart_log(small, 64, 32);
+  write_restart_log(large, 1024, 32);
+  const auto image_open = [](const fs::path& path) {
+    WalImage image;
+    WriteAheadLog wal(path, image);
+    EXPECT_FALSE(image.records.empty());
+  };
+  const auto bare_open = [](const fs::path& path) { WriteAheadLog wal(path); };
+  const auto read = [](const fs::path& path) {
+    const WriteAheadLog wal(path);
+    const uint64_t before = g_heap_allocs;
+    const WalImage image = wal.read();
+    EXPECT_FALSE(image.records.empty());
+    return g_heap_allocs - before;
+  };
+  EXPECT_EQ(allocs_of(small, image_open), allocs_of(large, image_open));
+  EXPECT_EQ(allocs_of(small, bare_open), allocs_of(large, bare_open));
+  const uint64_t read_small = read(small);
+  EXPECT_EQ(read_small, read(large));
+  EXPECT_LE(read_small, 2u) << "the bytes and the views";
+}
+
+TEST(KvReopenAlloc, ReopenAllocatesOneTableNodePerInstalledKey) {
+  TempDir dir;
+  const fs::path path = dir.path() / "kv.wal";
+  constexpr int kKeys = 32;
+  constexpr int kTxns = 1024;
+  write_restart_log(path, kTxns, kKeys);
+  // A node is one allocation, plus one each for its key and its value,
+  // which are past the small-string buffer here.
+  constexpr uint64_t kAllocsPerNode = 3;
+  // The WAL open (path, append stream, file bytes, views) and the replay's
+  // own buffers (transaction index, write links, install list, lookup key,
+  // participant list, bucket array): a constant, whatever the log holds.
+  constexpr uint64_t kFixed = 20;
+  const uint64_t before = g_heap_allocs;
+  const KvStore store(path);
+  const uint64_t allocs = g_heap_allocs - before;
+  EXPECT_EQ(store.size(), static_cast<size_t>(kKeys));
+  EXPECT_TRUE(store.in_doubt().empty());
+  // The log holds 2048 writes: a reopen that copied each record's strings
+  // would be an order of magnitude over.
+  EXPECT_LE(allocs, kAllocsPerNode * kKeys + kFixed);
 }
 
 }  // namespace
