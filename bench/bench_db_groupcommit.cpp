@@ -27,7 +27,7 @@
 #include "common/stats.h"
 #include "db/multishot.h"
 #include "db/txn.h"
-#include "faultinject/multitorture.h"
+#include "faultinject/torture.h"
 #include "metrics/report.h"
 
 namespace {
@@ -188,13 +188,12 @@ void body(bench::Context& ctx) {
   // Recovery equivalence under the grouped site space: every boundary flush
   // crashed with every fault kind, batch recovery must restore the
   // committed-prefix reference.
-  faultinject::MultiTortureOptions torture;
-  torture.group_commit = true;
-  torture.decision_batch = 4;
+  faultinject::TortureOptions torture;
+  torture.workload =
+      faultinject::PipelinedWorkload{.group_commit = true, .decision_batch = 4};
   torture.seed = ctx.derive_seed(21);
   torture.scratch_dir = scratch_dir("torture");
-  const auto sweep =
-      faultinject::run_multi_wal_sweep(torture, {.threads = 2});
+  const auto sweep = faultinject::run_wal_sweep(torture, {.threads = 2});
   {
     std::error_code ec;
     fs::remove_all(torture.scratch_dir, ec);

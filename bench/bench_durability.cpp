@@ -61,7 +61,7 @@ void body(bench::Context& ctx) {
   // --- recovery equivalence: the exhaustive crash-point sweep -------------
   faultinject::TortureOptions options;
   options.seed = ctx.derive_seed(15);
-  options.txns = ctx.quick() ? 3 : 4;
+  options.workload = faultinject::SerialWorkload{.txns = ctx.quick() ? 3 : 4};
   options.scratch_dir = root / "sweep";
   const auto sweep =
       faultinject::run_wal_sweep(options, {.threads = ctx.quick() ? 2 : 4});

@@ -154,7 +154,9 @@ class BufReader {
 
  private:
   void require(uint64_t count) const {
-    if (pos_ + count > data_.size()) {
+    // Compared against the remainder: `pos_ + count` wraps for a length
+    // varint near 2^64 and would pass.
+    if (count > data_.size() - pos_) {
       throw CodecError("truncated buffer: need " + std::to_string(count) +
                        " bytes, have " + std::to_string(data_.size() - pos_));
     }

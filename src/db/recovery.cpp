@@ -109,15 +109,6 @@ BatchSurvey RecoveryManager::survey_all() const {
   return survey;
 }
 
-std::map<int32_t, ShardTxnStatus> RecoveryManager::survey(TxnId txn) const {
-  const BatchSurvey batch = survey_all();
-  std::map<int32_t, ShardTxnStatus> statuses;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    statuses[static_cast<int32_t>(i)] = batch.status(static_cast<int32_t>(i), txn);
-  }
-  return statuses;
-}
-
 RecoveryManager::Resolution RecoveryManager::classify(
     TxnId txn, const BatchSurvey& survey) const {
   const auto participants_it = survey.participants.find(txn);

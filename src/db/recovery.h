@@ -94,10 +94,6 @@ class RecoveryManager {
   /// `shards` are the recovered stores (non-owning; must outlive the call).
   RecoveryManager(std::vector<KvStore*> shards, Options options);
 
-  /// Scans every shard's WAL for the given transaction. Keys are positions
-  /// in the constructor's `shards` vector.
-  [[nodiscard]] std::map<int32_t, ShardTxnStatus> survey(TxnId txn) const;
-
   /// One read-only replay per shard through the store's own WAL, indexing
   /// every transaction at once. Sees only flushed records.
   [[nodiscard]] BatchSurvey survey_all() const;

@@ -1,6 +1,18 @@
 // Recovery-equivalence torture: crash the database at a chosen WAL append,
 // recover, and check the survivors against a reference state machine.
 //
+// One checker, two workloads (TortureOptions::workload):
+//
+//   * SerialWorkload drives a DistributedDb one transaction at a time over a
+//     threaded network, so at most one transaction is in flight at a crash;
+//   * PipelinedWorkload drives db::MultiShotDb::execute_pipelined with
+//     simulated decision rounds: each batch stages and prepares many
+//     instances before any of them decides, so a crash leaves *many*
+//     transactions in doubt per shard — the WAL-state space the batch
+//     recovery scan (RecoveryManager::survey_all) exists for. Its
+//     group_commit / decision_batch knobs move the site space to the
+//     group-flush boundaries and put kBatchSeal records in the logs.
+//
 // The reference is the committed prefix: a transaction's writes belong in
 // the final state iff the transaction committed — where "committed" after a
 // crash means what RecoveryManager derives from the WALs. The checker
@@ -14,10 +26,12 @@
 //   * a committed transaction is installed on *every* intended participant
 //     (the paper's §1 "at all processors or at no processor");
 //   * each shard's recovered state equals the reference's committed-prefix
-//     state, key for key.
+//     state, applied in execution order, key for key.
 //
-// Everything is a pure function of (TortureOptions, FaultPlan) — the sweep
-// is reproducible from (seed, site) alone, which the faultkit replay test
+// Everything is a pure function of (TortureOptions, FaultPlan) — both
+// drivers append in a deterministic order (one transaction at a time, or one
+// pipeline driver thread), so site numbering is stable and the sweep is
+// reproducible from (seed, site) alone, which the faultkit replay test
 // verifies.
 #pragma once
 
@@ -25,6 +39,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "db/recovery.h"
@@ -34,20 +49,47 @@
 
 namespace rcommit::faultinject {
 
-struct TortureOptions {
-  int32_t shard_count = 3;
-  int32_t txns = 4;           ///< workload transactions after the hot prepare
-  int32_t fanout = 2;         ///< shards per transaction
-  int32_t keys_per_shard = 4;
-  uint64_t seed = 1;
-  /// Scratch directory for the WALs; wiped and recreated per run.
-  std::filesystem::path scratch_dir;
+/// A serial DistributedDb: `txns` transactions after the hot prepare, each
+/// decided over the commit-fleet network before the next starts.
+struct SerialWorkload {
+  int32_t txns = 4;
   /// Commit-fleet network timing (kept tight: the sweep runs many points).
   std::chrono::microseconds min_delay{10};
   std::chrono::microseconds max_delay{80};
   std::chrono::milliseconds txn_timeout{5000};
+};
 
-  /// Key=value form (scratch_dir excluded); round-trips via deserialize.
+/// MultiShotDb::execute_pipelined: `batches` batches of `batch_size`
+/// in-flight instances, rotating the origin shard per batch, decided on the
+/// deterministic simulator seeded by (seed, txn id) — the exact rerun
+/// RecoveryManager performs.
+struct PipelinedWorkload {
+  int32_t batches = 3;
+  int32_t batch_size = 8;
+  /// Group-commit WAL mode: appends coalesce per shard and injection sites
+  /// move to the group-flush boundaries (crash-before = the whole buffered
+  /// group lost between the last batched append and its flush, torn = a
+  /// mid-group torn tail). Off keeps the per-append site space — committed
+  /// corpus entries predate the knob and replay identically.
+  bool group_commit = false;
+  /// Prepared instances decided per protocol round (kBatchSeal recovery
+  /// batches appear in the WALs when > 1).
+  int32_t decision_batch = 1;
+  Tick k = 25;  ///< Protocol 2's K for the decision rounds and recovery reruns
+  int64_t max_events = 200'000;
+};
+
+struct TortureOptions {
+  int32_t shard_count = 3;
+  int32_t fanout = 2;          ///< shards per transaction
+  int32_t keys_per_shard = 4;  ///< small pool => real lock conflicts
+  uint64_t seed = 1;
+  /// Scratch directory for the WALs; wiped and recreated per run.
+  std::filesystem::path scratch_dir;
+  std::variant<SerialWorkload, PipelinedWorkload> workload;
+
+  /// Key=value form (scratch_dir excluded); round-trips via deserialize,
+  /// which selects PipelinedWorkload iff the text has a `batches=` line.
   [[nodiscard]] std::string serialize() const;
   static TortureOptions deserialize(const std::string& text);
 };
@@ -74,8 +116,8 @@ struct CrashPointResult {
 [[nodiscard]] CrashPointResult run_crash_point(const TortureOptions& options,
                                                const FaultPlan& plan);
 
-/// Dry run under the empty plan: the reachable WAL injection sites, in
-/// order, with what each one turned out to be.
+/// Dry run under the empty plan: the reachable WAL injection sites across
+/// every shard's log, in append order, with what each one turned out to be.
 [[nodiscard]] std::vector<SiteInfo> enumerate_sites(const TortureOptions& options);
 
 struct SweepOptions {
@@ -114,14 +156,16 @@ struct SweepResult {
 
 // --- artifacts ---------------------------------------------------------------
 //
-//   <dir>/config.txt   TortureOptions (key=value)
+//   <dir>/config.txt   TortureOptions (key=value; a `batches=` line marks
+//                      the pipelined workload)
 //   <dir>/plan.txt     FaultPlan (the crash schedule; shrunk when from the
 //                      sweep's failure path)
 //   <dir>/report.txt   expected CrashPointResult (replay must match exactly)
 //   <dir>/README.txt   one-command reproduction recipe
 //
 // Reproduce with:  faultkit --artifact=<dir>
-// The same format doubles as the regression corpus under tests/corpus_fault/.
+// The same format doubles as the regression corpora under
+// tests/corpus_fault/ (serial) and tests/corpus_multishot/ (pipelined).
 
 struct FaultArtifact {
   TortureOptions options;
@@ -133,8 +177,9 @@ struct FaultArtifact {
 void write_fault_artifact(const std::filesystem::path& dir,
                           const FaultArtifact& artifact);
 
-/// Loads an artifact directory. Throws CheckFailure on missing/malformed
-/// files. The loaded options carry an empty scratch_dir; callers supply one.
+/// Loads an artifact directory of either workload. Throws CheckFailure on
+/// missing/malformed files. The loaded options carry an empty scratch_dir;
+/// callers supply one.
 [[nodiscard]] FaultArtifact load_fault_artifact(const std::filesystem::path& dir);
 
 }  // namespace rcommit::faultinject

@@ -207,6 +207,20 @@ TEST(Codec, TruncatedStringThrows) {
   EXPECT_THROW(r.str(), CodecError);
 }
 
+TEST(Codec, HugeLengthThrowsCodecErrorNotLengthError) {
+  // A length varint of 2^64-1 must fail the bounds check rather than wrap it
+  // (which would reach the std::string / std::vector constructor and throw
+  // std::length_error past callers that catch only CodecError).
+  BufWriter w;
+  w.varint(UINT64_MAX);
+  for (int i = 0; i < 5; ++i) w.u8('x');
+  ASSERT_EQ(w.data().size(), 15u);
+  BufReader as_string(w.data());
+  EXPECT_THROW(as_string.str(), CodecError);
+  BufReader as_bytes(w.data());
+  EXPECT_THROW(as_bytes.bytes(), CodecError);
+}
+
 TEST(Codec, MalformedVarintThrows) {
   // 11 continuation bytes exceed the 64-bit budget.
   std::vector<uint8_t> bad(11, 0x80);

@@ -282,7 +282,7 @@ TEST_F(FaultInjectFixture, ShrinkFaultPlanDropsIrrelevantActions) {
   // "did it crash" oracle must strip the padding and keep one crash action.
   TortureOptions options;
   options.scratch_dir = dir_ / "shrink";
-  options.txns = 3;
+  options.workload = SerialWorkload{.txns = 3};
   FaultPlan plan = FaultPlan::none();
   plan.add({1, FaultKind::kDuplicate, 0});
   plan.add({4, FaultKind::kDuplicate, 0});

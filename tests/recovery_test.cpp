@@ -426,10 +426,10 @@ TEST_F(RecoveryFixture, SurveyReportsPerShardStatus) {
   KvStore shard1(wal_path(1));
   KvStore shard2(wal_path(2));
   RecoveryManager recovery({&shard0, &shard1, &shard2}, {});
-  const auto statuses = recovery.survey(7);
-  EXPECT_EQ(statuses.at(0), ShardTxnStatus::kCommitted);
-  EXPECT_EQ(statuses.at(1), ShardTxnStatus::kPrepared);
-  EXPECT_EQ(statuses.at(2), ShardTxnStatus::kStagedOnly);
+  const BatchSurvey survey = recovery.survey_all();
+  EXPECT_EQ(survey.status(0, 7), ShardTxnStatus::kCommitted);
+  EXPECT_EQ(survey.status(1, 7), ShardTxnStatus::kPrepared);
+  EXPECT_EQ(survey.status(2, 7), ShardTxnStatus::kStagedOnly);
 }
 
 // --- grouped outcome records --------------------------------------------------------

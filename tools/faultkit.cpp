@@ -7,14 +7,16 @@
 //   --replay             run one crash point: --site=N --kind=K [--arg=A]
 //   --artifact=<dir>     replay a saved artifact and diff against its report
 //
-// Workload knobs (--seed --shards --txns --fanout --keys) feed TortureOptions;
-// a sweep failure is reproducible from (seed, site) alone — see
-// docs/fault-injection.md for the repro recipe CI prints.
+// Workload knobs (--seed --shards --fanout --keys, plus --txns for the
+// serial workload) feed TortureOptions; a sweep failure is reproducible from
+// (seed, site) alone — see docs/fault-injection.md for the repro recipe CI
+// prints.
 //
-// --multishot switches every mode onto the pipelined MultiShotDb workload
-// (MultiTortureOptions: --batches/--batch-size replace --txns), where a crash
-// leaves many transactions in doubt per shard. --artifact auto-detects the
-// schema from config.txt, so saved multi-shot artifacts replay either way.
+// --multishot selects the pipelined MultiShotDb workload (--batches,
+// --batch-size, --group-commit, --decision-batch), where a crash leaves many
+// transactions in doubt per shard. A workload flag the selected workload
+// does not read exits 2. --artifact reads the workload from config.txt, so
+// saved artifacts of either workload replay with or without --multishot.
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
@@ -22,7 +24,6 @@
 
 #include "common/check.h"
 #include "common/flags.h"
-#include "faultinject/multitorture.h"
 #include "faultinject/torture.h"
 
 namespace {
@@ -43,7 +44,7 @@ const std::vector<FlagDoc> kDocs = {
     {"save", "dir", "with --replay: also write the crash point as an artifact"},
     {"seed", "N", "workload seed (default 1)"},
     {"shards", "N", "shard count (default 3)"},
-    {"txns", "N", "workload transactions (default 4)"},
+    {"txns", "N", "serial workload: transactions (default 4)"},
     {"fanout", "N", "shards per transaction (default 2)"},
     {"keys", "N", "keys per shard (default 4)"},
     {"multishot", "", "pipelined MultiShotDb workload (many txns in doubt)"},
@@ -59,6 +60,11 @@ const std::vector<FlagDoc> kDocs = {
     {"dir", "path", "scratch directory (default: under the system temp dir)"},
 };
 const char kSummary[] = "deterministic crash-point fault injection driver";
+
+/// Workload flags read by only one of the two workloads.
+const std::vector<const char*> kSerialFlags = {"txns"};
+const std::vector<const char*> kPipelinedFlags = {"batches", "batch-size",
+                                                  "group-commit", "decision-batch"};
 
 void print_result(const CrashPointResult& result) {
   std::cout << result.serialize();
@@ -79,6 +85,12 @@ int run_enumerate(const TortureOptions& options) {
   return 0;
 }
 
+/// The options as an artifact records them: everything but the scratch dir.
+TortureOptions without_scratch(TortureOptions options) {
+  options.scratch_dir.clear();
+  return options;
+}
+
 int run_sweep(const TortureOptions& options, const SweepOptions& sweep,
               const std::string& artifacts_dir) {
   const auto result = run_wal_sweep(options, sweep);
@@ -88,15 +100,11 @@ int run_sweep(const TortureOptions& options, const SweepOptions& sweep,
   for (const auto& failure : result.failures) {
     std::cout << "\nFAIL plan:\n" << failure.plan.serialize() << "result:\n";
     print_result(failure.result);
-    TortureOptions shrink_options = options;
-    shrink_options.scratch_dir = options.scratch_dir / "shrink";
-    const FaultPlan shrunk = shrink_fault_plan(shrink_options, failure.plan);
     if (!artifacts_dir.empty()) {
-      TortureOptions clean = options;
-      clean.scratch_dir.clear();
+      const FaultPlan shrunk = shrink_fault_plan(options, failure.plan);
       TortureOptions replay_options = options;
       replay_options.scratch_dir = options.scratch_dir / "artifact-replay";
-      FaultArtifact artifact{clean, shrunk,
+      FaultArtifact artifact{without_scratch(options), shrunk,
                              run_crash_point(replay_options, shrunk)};
       fs::remove_all(replay_options.scratch_dir);
       const fs::path dir =
@@ -118,77 +126,13 @@ int run_replay(const TortureOptions& options, int64_t site,
   const auto result = run_crash_point(options, plan);
   print_result(result);
   if (!save_dir.empty()) {
-    TortureOptions clean = options;
-    clean.scratch_dir.clear();
-    write_fault_artifact(save_dir, {clean, plan, result});
+    write_fault_artifact(save_dir, {without_scratch(options), plan, result});
     std::cout << "artifact: " << save_dir << "\n";
   }
   return result.ok() ? 0 : 1;
-}
-
-int run_multi_enumerate(const MultiTortureOptions& options) {
-  print_sites(enumerate_multi_sites(options));
-  return 0;
-}
-
-int run_multi_sweep(const MultiTortureOptions& options, const SweepOptions& sweep,
-                    const std::string& artifacts_dir) {
-  const auto result = run_multi_wal_sweep(options, sweep);
-  std::cout << "sites=" << result.sites << " crash_points=" << result.crash_points
-            << " failures=" << result.failures.size() << "\n";
-  int index = 0;
-  for (const auto& failure : result.failures) {
-    std::cout << "\nFAIL plan:\n" << failure.plan.serialize() << "result:\n";
-    print_result(failure.result);
-    if (!artifacts_dir.empty()) {
-      MultiTortureOptions clean = options;
-      clean.scratch_dir.clear();
-      const fs::path dir =
-          fs::path(artifacts_dir) / ("multifault-" + std::to_string(index++));
-      write_multi_fault_artifact(dir, {clean, failure.plan, failure.result});
-      std::cout << "artifact: " << dir.string() << "\n";
-      std::cout << "reproduce: faultkit --multishot --artifact=" << dir.string()
-                << "\n";
-    }
-  }
-  return result.ok() ? 0 : 1;
-}
-
-int run_multi_replay(const MultiTortureOptions& options, int64_t site,
-                     const std::string& kind_name, uint64_t arg,
-                     const std::string& save_dir) {
-  const FaultKind kind = parse_fault_kind(kind_name);
-  RCOMMIT_CHECK_MSG(is_wal_kind(kind), "--replay takes a WAL fault kind");
-  const FaultPlan plan = FaultPlan::wal_fault_at(site, kind, arg);
-  const auto result = run_multi_crash_point(options, plan);
-  print_result(result);
-  if (!save_dir.empty()) {
-    MultiTortureOptions clean = options;
-    clean.scratch_dir.clear();
-    write_multi_fault_artifact(save_dir, {clean, plan, result});
-    std::cout << "artifact: " << save_dir << "\n";
-  }
-  return result.ok() ? 0 : 1;
-}
-
-int run_multi_artifact(const fs::path& dir, const fs::path& scratch) {
-  const MultiFaultArtifact artifact = load_multi_fault_artifact(dir);
-  MultiTortureOptions options = artifact.options;
-  options.scratch_dir = scratch;
-  const CrashPointResult result = run_multi_crash_point(options, artifact.plan);
-  if (result == artifact.expected) {
-    std::cout << "replay matches " << (dir / "report.txt").string() << "\n";
-    print_result(result);
-    return result.ok() ? 0 : 1;
-  }
-  std::cout << "REPLAY MISMATCH\nexpected:\n"
-            << artifact.expected.serialize() << "got:\n";
-  print_result(result);
-  return 1;
 }
 
 int run_artifact(const fs::path& dir, const fs::path& scratch) {
-  if (is_multishot_artifact(dir)) return run_multi_artifact(dir, scratch);
   const FaultArtifact artifact = load_fault_artifact(dir);
   TortureOptions options = artifact.options;
   options.scratch_dir = scratch;
@@ -214,27 +158,35 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // Workload flags of the workload not selected are usage errors, never
+  // silently ignored.
+  const bool multishot = flags.get_bool("multishot", false);
+  for (const char* name : multishot ? kSerialFlags : kPipelinedFlags) {
+    if (flags.has(name)) {
+      std::cerr << "--" << name
+                << (multishot ? " does not apply to the --multishot workload\n"
+                              : " applies only to the --multishot workload\n");
+      return 2;
+    }
+  }
+
   TortureOptions options;
   options.seed = static_cast<uint64_t>(flags.get_int("seed", 1));
   options.shard_count = static_cast<int32_t>(flags.get_int("shards", 3));
-  options.txns = static_cast<int32_t>(flags.get_int("txns", 4));
   options.fanout = static_cast<int32_t>(flags.get_int("fanout", 2));
   options.keys_per_shard = static_cast<int32_t>(flags.get_int("keys", 4));
   options.scratch_dir = flags.get_string(
       "dir", (fs::temp_directory_path() / "faultkit-scratch").string());
-
-  const bool multishot = flags.get_bool("multishot", false);
-  MultiTortureOptions multi_options;
-  multi_options.seed = options.seed;
-  multi_options.shard_count = options.shard_count;
-  multi_options.fanout = options.fanout;
-  multi_options.keys_per_shard = options.keys_per_shard;
-  multi_options.batches = static_cast<int32_t>(flags.get_int("batches", 3));
-  multi_options.batch_size = static_cast<int32_t>(flags.get_int("batch-size", 8));
-  multi_options.group_commit = flags.get_bool("group-commit", false);
-  multi_options.decision_batch =
-      static_cast<int32_t>(flags.get_int("decision-batch", 1));
-  multi_options.scratch_dir = options.scratch_dir;
+  if (multishot) {
+    options.workload = PipelinedWorkload{
+        .batches = static_cast<int32_t>(flags.get_int("batches", 3)),
+        .batch_size = static_cast<int32_t>(flags.get_int("batch-size", 8)),
+        .group_commit = flags.get_bool("group-commit", false),
+        .decision_batch = static_cast<int32_t>(flags.get_int("decision-batch", 1))};
+  } else {
+    options.workload =
+        SerialWorkload{.txns = static_cast<int32_t>(flags.get_int("txns", 4))};
+  }
 
   const bool enumerate = flags.get_bool("enumerate", false);
   const bool sweep = flags.get_bool("sweep", false);
@@ -262,16 +214,14 @@ int main(int argc, char** argv) {
 
   int exit_code = 0;
   if (enumerate) {
-    exit_code = multishot ? run_multi_enumerate(multi_options)
-                          : run_enumerate(options);
+    exit_code = run_enumerate(options);
   } else if (sweep) {
-    exit_code = multishot ? run_multi_sweep(multi_options, sweep_options, artifacts_dir)
-                          : run_sweep(options, sweep_options, artifacts_dir);
+    exit_code = run_sweep(options, sweep_options, artifacts_dir);
   } else if (replay) {
-    exit_code = multishot ? run_multi_replay(multi_options, site, kind, arg, save_dir)
-                          : run_replay(options, site, kind, arg, save_dir);
+    exit_code = run_replay(options, site, kind, arg, save_dir);
   } else {
-    // --artifact auto-detects the config schema; --multishot is implied.
+    // --artifact reads the workload from config.txt, so it replays with or
+    // without --multishot.
     exit_code = run_artifact(artifact, options.scratch_dir);
   }
   std::filesystem::remove_all(options.scratch_dir);
