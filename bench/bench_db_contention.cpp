@@ -15,7 +15,7 @@
 
 #include "bench/harness.h"
 #include "common/stats.h"
-#include "db/txn.h"
+#include "db/multishot.h"
 #include "db/workload.h"
 #include "metrics/report.h"
 
@@ -37,13 +37,14 @@ ContentionStats run_skew(double skew, int txns, uint64_t seed) {
   fs::remove_all(dir);
   fs::create_directories(dir);
 
-  db::DistributedDb::Options options;
+  db::MultiShotDb::Options options;
   options.shard_count = 4;
   options.data_dir = dir;
   options.seed = seed;
   options.network = {.min_delay = std::chrono::microseconds(20),
                      .max_delay = std::chrono::microseconds(150)};
-  db::DistributedDb database(options);
+  options.decision_transport = db::DecisionTransport::kThreadedNetwork;
+  db::MultiShotDb database(options);
 
   db::WorkloadOptions wopts;
   wopts.shard_count = 4;
@@ -63,7 +64,7 @@ ContentionStats run_skew(double skew, int txns, uint64_t seed) {
   ContentionStats stats;
   for (int i = 0; i < txns; ++i) {
     const auto txn = workload.next();
-    const auto outcome = database.execute(txn);
+    const auto outcome = database.execute(0, txn);
     if (!outcome.decided) continue;
     (outcome.decision == Decision::kCommit ? stats.committed : stats.aborted) += 1;
     // Atomicity check, immediately after the sequential execute: every write

@@ -1,12 +1,12 @@
-// E19 — pipelined multi-shot engine vs the serial database.
+// E19 — pipelined multi-shot engine vs its one-client serial run.
 //
-// DistributedDb::execute commits one transaction at a time: the whole
-// database blocks on each commit instance's network round-trips. MultiShotDb
-// pipelines independent commit instances per shard, so with concurrent
-// clients the network latency overlaps and committed-transaction throughput
-// scales. This bench sweeps shard count × client concurrency over a threaded
-// network with 50-500us link delays — both engines pay the same links — and
-// gates two claims:
+// One client commits one transaction at a time: each execute blocks on its
+// commit instance's network round-trips. MultiShotDb pipelines independent
+// commit instances per shard, so with concurrent clients the network latency
+// overlaps and committed-transaction throughput scales. This bench sweeps
+// shard count × client concurrency over a threaded network with 50-500us
+// link delays — the serial baseline pays the same links — and gates two
+// claims:
 //
 //   multishot_5x_serial   ≥5× the serial committed-txn throughput at
 //                         concurrency ≥64 (the tentpole speedup bound)
@@ -25,7 +25,6 @@
 #include "bench/harness.h"
 #include "common/stats.h"
 #include "db/multishot.h"
-#include "db/txn.h"
 #include "metrics/report.h"
 
 namespace {
@@ -33,7 +32,7 @@ namespace {
 using namespace rcommit;
 namespace fs = std::filesystem;
 
-// Slower links than E11's 30-300us: the serial engine pays every
+// Slower links than E11's 30-300us: the serial run pays every
 // microsecond of link latency per transaction, while the pipeline overlaps
 // it — WAN-ish delays are exactly where multi-shot pipelining earns its keep.
 constexpr std::chrono::microseconds kMinDelay(50);
@@ -44,16 +43,18 @@ fs::path scratch_dir(const std::string& tag) {
          ("rcommit_bench_multishot_" + std::to_string(::getpid()) + "_" + tag);
 }
 
-/// Serial baseline: DistributedDb, one cross-shard transaction at a time.
+/// Serial baseline: the one-client engine, one cross-shard transaction at a
+/// time.
 double run_serial(int txns, uint64_t seed) {
   const fs::path dir = scratch_dir("serial");
   fs::remove_all(dir);
-  db::DistributedDb::Options options;
+  db::MultiShotDb::Options options;
   options.shard_count = 3;
   options.data_dir = dir;
   options.seed = seed;
+  options.decision_transport = db::DecisionTransport::kThreadedNetwork;
   options.network = {.min_delay = kMinDelay, .max_delay = kMaxDelay};
-  db::DistributedDb database(options);
+  db::MultiShotDb database(options);
 
   int committed = 0;
   const auto start = std::chrono::steady_clock::now();
@@ -61,7 +62,7 @@ double run_serial(int txns, uint64_t seed) {
     const int a = i % 3;
     const int b = (a + 1) % 3;
     const std::string key = "k" + std::to_string(i);
-    const auto outcome = database.execute({{a, {{key, "x"}}}, {b, {{key, "x"}}}});
+    const auto outcome = database.execute(0, {{a, {{key, "x"}}}, {b, {{key, "x"}}}});
     if (outcome.decided && outcome.decision == Decision::kCommit) ++committed;
   }
   const auto elapsed =
@@ -153,13 +154,13 @@ void body(bench::Context& ctx) {
   const int serial_txns = ctx.runs(40, /*quick_floor=*/10);
   const int txns_per_client = ctx.runs(8, /*quick_floor=*/3);
 
-  ctx.out() << "E19: pipelined multi-shot engine vs serial DistributedDb,\n"
+  ctx.out() << "E19: pipelined multi-shot engine vs its one-client serial run,\n"
             << "threaded network with 50-500us delays, WAL-backed shards,\n"
             << serial_txns << " serial txns; " << txns_per_client
             << " txns per client in the sweep\n\n";
 
   const double serial_tps = run_serial(serial_txns, ctx.derive_seed(19));
-  ctx.out() << "serial DistributedDb baseline: " << Table::num(serial_tps, 1)
+  ctx.out() << "serial one-client baseline: " << Table::num(serial_tps, 1)
             << " committed txn/s (3 shards)\n\n";
   ctx.scalar("serial_txn_per_sec", serial_tps, "txn/s");
 

@@ -4,16 +4,19 @@
 // database transactions. This bench runs bursts of cross-shard transactions
 // through the WAL-backed sharded KV store with the commit decision made by
 // (a) the paper's Protocol 2, (b) 2PC, (c) 3PC, (d) quorum-based 3PC — over
-// a threaded network with real delays — and reports throughput, abort rate,
-// and atomicity
-// violations (a transaction visible on one shard but not another).
+// a threaded network with real delays, one MultiShotDb client at a time —
+// and reports throughput, abort rate, and atomicity violations (a
+// transaction visible on one shard but not another). The engine applies one
+// folded outcome to every shard, so a baseline whose participants disagree
+// still installs everywhere or nowhere here; baseline safety under
+// adversaries is measured by bench_commit_baselines (E18).
 #include <chrono>
 #include <filesystem>
 #include <string>
 
 #include "bench/harness.h"
 #include "common/stats.h"
-#include "db/txn.h"
+#include "db/multishot.h"
 #include "metrics/report.h"
 
 namespace {
@@ -36,14 +39,15 @@ DbStats run_backend(db::CommitBackend backend, int txns, uint64_t seed) {
   fs::remove_all(dir);
   fs::create_directories(dir);
 
-  db::DistributedDb::Options options;
+  db::MultiShotDb::Options options;
   options.shard_count = 5;
   options.data_dir = dir;
   options.backend = backend;
   options.seed = seed;
   options.network = {.min_delay = std::chrono::microseconds(30),
                      .max_delay = std::chrono::microseconds(300)};
-  db::DistributedDb database(options);
+  options.decision_transport = db::DecisionTransport::kThreadedNetwork;
+  db::MultiShotDb database(options);
 
   DbStats stats;
   // Throughput reporting over a real threaded network — wall time is the
@@ -54,7 +58,7 @@ DbStats run_backend(db::CommitBackend backend, int txns, uint64_t seed) {
     const int b = (i + 1 + i / 5) % 5;
     if (a == b) continue;
     const std::string key = "k" + std::to_string(i);
-    const auto outcome = database.execute({
+    const auto outcome = database.execute(0, {
         {a, {{key, "left"}}},
         {b, {{key, "right"}}},
     });

@@ -87,10 +87,12 @@ class CondVar {
     return cv_.wait_for(mu, timeout, std::move(pred));
   }
 
-  /// Predicate-free bounded waits, for callers whose loop re-derives state
-  /// after every wakeup. Prefer these over the predicate forms when the
-  /// predicate would read GUARDED_BY members: a lambda body is analyzed as
-  /// its own function, where the mutex is not known to be held.
+  /// Predicate-free waits, for callers whose loop re-derives state after
+  /// every wakeup. Prefer these over the predicate forms when the predicate
+  /// would read GUARDED_BY members: a lambda body is analyzed as its own
+  /// function, where the mutex is not known to be held.
+  void wait(Mutex& mu) REQUIRES(mu) { cv_.wait(mu); }
+
   template <typename Rep, typename Period>
   std::cv_status wait_for(Mutex& mu,
                           std::chrono::duration<Rep, Period> timeout)

@@ -160,7 +160,10 @@ void KvStore::replay(const WalImage& image) {
   // transactions re-take their locks through the prepare path, in ascending
   // id order: their outcome is pending and their keys must stay protected.
   std::vector<const Replayed*> in_doubt;
+  // Every id a log names has an entry in some shard's log (a seal's batch id
+  // is a member's, prepared before the seal), so entries alone give the floor.
   for (const Replayed& entry : txns.entries()) {
+    note_opened(entry.txn);
     if (entry.live && entry.prepared != kNoRecord) in_doubt.push_back(&entry);
   }
   std::sort(in_doubt.begin(), in_doubt.end(),
@@ -296,6 +299,18 @@ std::optional<TxnId> KvStore::Locks::holder(const std::string& key) const {
 }
 
 bool KvStore::is_in_doubt(TxnId txn) const { return staged_.contains(txn); }
+
+int64_t KvStore::opened_sequence(int32_t origin) const {
+  const auto at = static_cast<size_t>(origin);
+  return at < opened_sequences_.size() ? opened_sequences_[at] : 0;
+}
+
+void KvStore::note_opened(TxnId txn) {
+  if (txn <= 0) return;  // outside the id space: no origin to floor
+  const auto at = static_cast<size_t>(txn_origin(txn));
+  if (at >= opened_sequences_.size()) opened_sequences_.resize(at + 1, 0);
+  opened_sequences_[at] = std::max(opened_sequences_[at], txn_sequence(txn));
+}
 
 std::vector<TxnId> KvStore::in_doubt() const {
   std::vector<TxnId> out;

@@ -29,6 +29,33 @@ namespace rcommit::db {
 
 using TxnId = int64_t;
 
+// --- the 64-bit transaction-id space -----------------------------------------
+// MultiShotDb allocates ids from it; a shard's reopen reads it to tell an
+// engine which ids its log already holds.
+
+/// Bits of the shard-local sequence; the top 64-48 = 16 bits carry the
+/// originating shard. ~2.8e14 transactions per shard before wraparound.
+inline constexpr int kTxnSequenceBits = 48;
+inline constexpr int64_t kTxnSequenceMask = (int64_t{1} << kTxnSequenceBits) - 1;
+
+/// Composes an instance id from (originating shard, shard-local sequence).
+/// Sequence 0 is reserved; engines allocate from 1, past every sequence
+/// their logs already hold.
+[[nodiscard]] constexpr TxnId make_txn_id(int32_t origin_shard, int64_t sequence) {
+  return (static_cast<int64_t>(origin_shard) << kTxnSequenceBits) |
+         (sequence & kTxnSequenceMask);
+}
+
+/// The originating shard encoded in `txn`.
+[[nodiscard]] constexpr int32_t txn_origin(TxnId txn) {
+  return static_cast<int32_t>(txn >> kTxnSequenceBits);
+}
+
+/// The shard-local sequence number encoded in `txn`.
+[[nodiscard]] constexpr int64_t txn_sequence(TxnId txn) {
+  return txn & kTxnSequenceMask;
+}
+
 struct KvWrite {
   std::string key;
   std::string value;
@@ -74,6 +101,11 @@ class KvStore {
   /// Whether `txn` is one of in_doubt(), in O(log n) and without building
   /// the list.
   [[nodiscard]] bool is_in_doubt(TxnId txn) const;
+
+  /// The highest sequence among the ids from `origin` that the log named
+  /// when the store opened, or 0 if none: an engine restarting over this log
+  /// allocates past it, so no id it issues is already in the log.
+  [[nodiscard]] int64_t opened_sequence(int32_t origin) const;
 
   /// Compacts the WAL: rewrites it as a snapshot of the committed state plus
   /// the records of still-pending (prepared, undecided) transactions,
@@ -148,6 +180,8 @@ class KvStore {
   /// Rebuilds the table and the in-doubt set from the open's scan (the
   /// constructor's replay).
   void replay(const WalImage& image);
+  /// Raises opened_sequence(txn_origin(txn)) to txn's sequence.
+  void note_opened(TxnId txn);
   /// Locks `key` for `txn` and appends the write to `writes`; false if
   /// another transaction holds the key. `writes` must have spare capacity,
   /// so a lock is never taken without its staged write.
@@ -168,6 +202,8 @@ class KvStore {
   size_t locked_count_ = 0;
   /// Prepared, undecided transactions.
   std::map<TxnId, Staged> staged_;
+  /// opened_sequence() per origin, filled by the open's replay.
+  std::vector<int64_t> opened_sequences_;
   WalFaultHook* fault_hook_ = nullptr;
 };
 

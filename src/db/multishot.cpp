@@ -25,13 +25,23 @@ MultiShotDb::MultiShotDb(Options options) : options_(std::move(options)) {
     }
     engines_.push_back(std::move(engine));
   }
+  // Each origin resumes past the highest sequence any shard's log names, so
+  // a restarted engine never reissues an id recovery may still read.
+  for (int32_t origin = 0; origin < options_.shard_count; ++origin) {
+    int64_t last = 0;
+    for (const auto& engine : engines_) {
+      last = std::max(last, engine->store->opened_sequence(origin));
+    }
+    engines_[static_cast<size_t>(origin)]->next_sequence.store(last + 1);
+  }
 }
 
 TxnId MultiShotDb::allocate_txn_id(int32_t origin_shard) {
   RCOMMIT_CHECK(origin_shard >= 0 && origin_shard < options_.shard_count);
-  // A crashed or aborted attempt burns its sequence number: ids are
-  // allocate-once, never reused, so recovery can treat every id it sees in a
-  // WAL as naming exactly one instance.
+  // A crashed or aborted attempt burns its sequence number, and a restart
+  // resumes past every id in the logs: ids are allocate-once, never reused,
+  // so recovery can treat every id it sees in a WAL as naming exactly one
+  // instance.
   const int64_t sequence =
       engines_[static_cast<size_t>(origin_shard)]->next_sequence.fetch_add(1);
   return make_txn_id(origin_shard, sequence);
@@ -118,12 +128,6 @@ TxnOutcome MultiShotDb::run_union_round(const std::vector<int32_t>& shards,
     fleet.push_back(make_commit_participant(options_.backend, params,
                                             /*vote=*/1, options_.k));
   }
-  return round_outcome(
-      run_threaded_round(std::move(fleet), round_seed(options_.seed, batch_id)));
-}
-
-std::vector<std::optional<Decision>> MultiShotDb::run_threaded_round(
-    std::vector<std::unique_ptr<sim::Process>> fleet, uint64_t seed) {
   // Admission: each round spins up ~n+1 short-lived threads (node hosts plus
   // the network's delivery thread). Running more rounds than cores turns
   // pipelining into scheduler churn, so excess clients wait here — their
@@ -136,63 +140,20 @@ std::vector<std::optional<Decision>> MultiShotDb::run_threaded_round(
           : std::max(8, static_cast<int32_t>(std::thread::hardware_concurrency()));
   {
     MutexLock lock(rounds_mu_);
-    while (active_rounds_ >= cap) {
-      rounds_cv_.wait_for(rounds_mu_, std::chrono::milliseconds(50));
-    }
+    // Every release below notifies, so a plain wait misses no free slot.
+    while (active_rounds_ >= cap) rounds_cv_.wait(rounds_mu_);
     ++active_rounds_;
   }
-
-  const auto n = static_cast<int32_t>(fleet.size());
+  const uint64_t seed = round_seed(options_.seed, batch_id);
   transport::InMemoryNetwork network(n, seed, options_.network);
-  const auto seeds = derive_seeds(seed ^ 0xf1ee7, n);
-  std::vector<std::unique_ptr<transport::NodeHost>> hosts;
-  hosts.reserve(static_cast<size_t>(n));
-  for (int32_t i = 0; i < n; ++i) {
-    transport::NodeHost::Options nopts;
-    nopts.id = i;
-    nopts.seed = seeds[static_cast<size_t>(i)];
-    // Nodes wake early on message arrival, so a coarser step period costs
-    // no happy-path latency — it only cuts idle-step CPU, which is what
-    // bounds aggregate throughput when many rounds share few cores.
-    nopts.step_period = std::chrono::microseconds(500);
-    hosts.push_back(std::make_unique<transport::NodeHost>(
-        nopts, std::move(fleet[static_cast<size_t>(i)]), network));
-  }
-  network.start();
-  for (auto& host : hosts) host->start();
-
-  // run_fleet polls at a 2ms quantum — fine for one-shot commits, but here
-  // it would put a floor under every instance's latency. Poll at the node
-  // hosts' own step granularity instead.
-  const auto deadline = std::chrono::steady_clock::now() + options_.txn_timeout;
-  bool all_decided = false;
-  while (std::chrono::steady_clock::now() < deadline) {
-    all_decided = true;
-    for (const auto& host : hosts) all_decided = all_decided && host->decided();
-    if (all_decided) break;
-    std::this_thread::sleep_for(std::chrono::microseconds(250));
-  }
-
-  for (auto& host : hosts) host->request_stop();
-  for (auto& host : hosts) host->join();
-  network.stop();
-
-  std::vector<std::optional<Decision>> decisions;
-  decisions.reserve(static_cast<size_t>(n));
-  for (const auto& host : hosts) {
-    if (host->process().decided()) {
-      decisions.emplace_back(host->process().decision());
-    } else {
-      decisions.emplace_back(std::nullopt);
-    }
-  }
-
+  const auto result =
+      transport::run_fleet(std::move(fleet), network, seed ^ 0xf1ee7, options_.txn_timeout);
   {
     MutexLock lock(rounds_mu_);
     --active_rounds_;
   }
   rounds_cv_.notify_one();
-  return decisions;
+  return round_outcome(result.decisions);
 }
 
 void MultiShotDb::apply_phase(const Instance& instance, const TxnOutcome& outcome) {

@@ -1,16 +1,18 @@
-// Multi-shot sharded transaction engine.
+// Multi-shot sharded transaction engine — the database's one transaction
+// engine.
 //
-// The single-shot `DistributedDb` commits one transaction at a time: execute
-// blocks the whole database until the commit instance decides. This layer —
-// in the style of Chockler & Gotsman's *Multi-Shot Distributed Transaction
-// Commit* (PAPERS.md) — lets millions of transactions be in flight across
+// In the style of Chockler & Gotsman's *Multi-Shot Distributed Transaction
+// Commit* (PAPERS.md), a single commit is just the one-client case: one
+// caller of execute() with decision_batch 1 commits one transaction at a
+// time. Many callers let millions of transactions be in flight across
 // partitioned shards without head-of-line blocking:
 //
-//   * Transaction ids span a 64-bit space: the originating shard in the top
-//     bits, a shard-local sequence in the bottom 48. Ids are unique across
-//     shards with no coordination, and every WAL record a transaction writes
-//     is tagged with its instance id (the PR 4 participant-list / shard_ids
-//     encoding rides along unchanged in the PREPARED record).
+//   * Transaction ids span a 64-bit space (db/kv.h): the originating shard in
+//     the top bits, a shard-local sequence in the bottom 48. Ids are unique
+//     across shards with no coordination and across restarts (a reopened
+//     engine resumes past every id its logs hold), and every WAL record a
+//     transaction writes is tagged with its instance id (the participant-list
+//     / shard_ids encoding rides along unchanged in the PREPARED record).
 //   * Each shard runs a *pipeline* of commit instances keyed by that id:
 //     a shard engine prepares, decides, and applies different transactions
 //     independently, serialized only by the shard's own WAL appends and lock
@@ -32,7 +34,7 @@
 //                     (options, workload), which is what the multi-txn
 //                     crash-point torture sweep replays from.
 //   kThreadedNetwork  each instance runs over a fresh threaded in-memory
-//                     network with real delays (DistributedDb's transport) —
+//                     network with real delays (transport::run_fleet) —
 //                     the configuration bench_db_multishot (E19) measures,
 //                     where pipelining is the entire throughput win.
 //
@@ -78,31 +80,6 @@
 #include "transport/network.h"
 
 namespace rcommit::db {
-
-// --- the 64-bit transaction-id space -----------------------------------------
-
-/// Bits of the shard-local sequence; the top 64-48 = 16 bits carry the
-/// originating shard. ~2.8e14 transactions per shard before wraparound.
-inline constexpr int kTxnSequenceBits = 48;
-inline constexpr int64_t kTxnSequenceMask = (int64_t{1} << kTxnSequenceBits) - 1;
-
-/// Composes an instance id from (originating shard, shard-local sequence).
-/// Sequence 0 is reserved (it collides with legacy single-shot ids at origin
-/// 0); engines allocate from 1.
-[[nodiscard]] constexpr TxnId make_txn_id(int32_t origin_shard, int64_t sequence) {
-  return (static_cast<int64_t>(origin_shard) << kTxnSequenceBits) |
-         (sequence & kTxnSequenceMask);
-}
-
-/// The originating shard encoded in `txn`.
-[[nodiscard]] constexpr int32_t txn_origin(TxnId txn) {
-  return static_cast<int32_t>(txn >> kTxnSequenceBits);
-}
-
-/// The shard-local sequence number encoded in `txn`.
-[[nodiscard]] constexpr int64_t txn_sequence(TxnId txn) {
-  return txn & kTxnSequenceMask;
-}
 
 // --- the engine --------------------------------------------------------------
 
@@ -227,7 +204,8 @@ class MultiShotDb {
   TxnOutcome decide_phase(const Instance& instance);
   /// One decision round over `shards` (ascending), seeded by mixing
   /// `batch_id` into the engine seed — the shared core of decide_phase and
-  /// the batched paths.
+  /// the batched paths. A kThreadedNetwork round is one transport::run_fleet
+  /// over a fresh InMemoryNetwork, behind the admission gate.
   TxnOutcome run_union_round(const std::vector<int32_t>& shards, TxnId batch_id);
   /// Threaded batched decide: queue the instance, let a leader fold up to
   /// decision_batch waiters into one round, return the decided-and-applied
@@ -237,11 +215,6 @@ class MultiShotDb {
   /// Runs one leader-drained batch: flush prepares, seal, one union round,
   /// apply + flush outcomes, publish to the waiters.
   void run_batch_round(const std::vector<DecideWaiter*>& members);
-  /// One threaded decision round under the admission gate: fleet over a
-  /// fresh InMemoryNetwork, polled at fine granularity until every node
-  /// decides or txn_timeout expires.
-  std::vector<std::optional<Decision>> run_threaded_round(
-      std::vector<std::unique_ptr<sim::Process>> fleet, uint64_t seed);
   /// Phase 3: apply the decision on every involved shard.
   void apply_phase(const Instance& instance, const TxnOutcome& outcome);
   /// Appends the batch seal to every shard in `shards` (buffered under

@@ -85,7 +85,7 @@ class RecoveryManager {
     /// Event budget for the deterministic protocol rerun (rule 3).
     int64_t max_events = 200'000;
     /// Participant id of each entry in `shards`, parallel to that vector.
-    /// Empty means identity (shard i has id i) — correct for DistributedDb.
+    /// Empty means identity (shard i has id i) — correct for MultiShotDb.
     /// RPC deployments whose shard node ids differ from vector positions
     /// must supply the mapping so recorded participant lists resolve.
     std::vector<int32_t> shard_ids = {};

@@ -1,16 +1,15 @@
-// Distributed transactions over sharded KV stores.
+// Commit-decision building blocks for the sharded database.
 //
 // The paper's motivating setting made concrete: a transaction touches several
 // shards; each shard stages and durably prepares its writes (its vote), and
 // the shards then reach a common commit/abort decision by running a commit
-// protocol over the threaded transport — the paper's Protocol 2 by default,
-// or a 2PC/3PC baseline for comparison. The outcome is applied to every
-// involved shard.
+// protocol — the paper's Protocol 2 by default, or a 2PC/3PC baseline for
+// comparison. This header holds what every path to that decision shares:
+// the backend choice, participant construction, round seeding, and the
+// deterministic simulated round. MultiShotDb (db/multishot.h) is the engine
+// that runs them; RecoveryManager reruns the same rounds.
 #pragma once
 
-#include <chrono>
-#include <filesystem>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -18,7 +17,6 @@
 #include "common/types.h"
 #include "db/kv.h"
 #include "protocol/commit.h"
-#include "transport/network.h"
 
 namespace rcommit::db {
 
@@ -36,8 +34,8 @@ struct TxnOutcome {
 };
 
 /// Builds one commit-protocol participant with the given initial vote.
-/// Shared by DistributedDb's per-transaction fleets and MultiShotDb's
-/// pipelined commit instances; baselines derive their timeout as 8K.
+/// Shared by MultiShotDb's decision rounds and RecoveryManager's reruns;
+/// baselines derive their timeout as 8K.
 std::unique_ptr<sim::Process> make_commit_participant(CommitBackend backend,
                                                       const SystemParams& params,
                                                       int vote, Tick k);
@@ -66,48 +64,5 @@ std::unique_ptr<sim::Process> make_commit_participant(CommitBackend backend,
 [[nodiscard]] TxnOutcome run_simulated_round(CommitBackend backend, int32_t n,
                                              Tick k, uint64_t seed,
                                              int64_t mix_id, int64_t max_events);
-
-class DistributedDb {
- public:
-  struct Options {
-    int32_t shard_count = 3;
-    std::filesystem::path data_dir;  ///< one WAL per shard lives here
-    CommitBackend backend = CommitBackend::kPaperProtocol;
-    uint64_t seed = 1;
-    transport::LinkPolicy network = {};  ///< delay/drop injection
-    std::chrono::milliseconds txn_timeout{2000};
-    Tick k = 25;  ///< Protocol 2's K, in node steps
-    /// Optional WAL fault hook, installed on every shard's log (non-owning).
-    /// The crash-point torture suite (src/faultinject) uses this to kill the
-    /// database at a chosen append; production paths leave it null.
-    WalFaultHook* wal_fault_hook = nullptr;
-  };
-
-  explicit DistributedDb(Options options);
-
-  /// Executes one distributed transaction: writes grouped per shard. Every
-  /// involved shard prepares (vote), the commit protocol runs over a fresh
-  /// in-memory network among the involved shards, and the outcome is applied
-  /// everywhere. Single-shard transactions commit locally iff they prepare.
-  TxnOutcome execute(const std::map<int32_t, std::vector<KvWrite>>& writes_by_shard);
-
-  /// Reads from one shard.
-  [[nodiscard]] std::optional<std::string> get(int32_t shard, const std::string& key) const;
-
-  [[nodiscard]] KvStore& shard(int32_t index);
-  [[nodiscard]] int32_t shard_count() const { return options_.shard_count; }
-
-  /// Transactions executed so far (also the id generator).
-  [[nodiscard]] TxnId transactions_started() const { return next_txn_ - 1; }
-
- private:
-  /// Builds one commit-protocol participant with the given initial vote.
-  std::unique_ptr<sim::Process> make_participant(int32_t index, int32_t n, int vote) const;
-
-  Options options_;
-  std::vector<std::unique_ptr<KvStore>> shards_;
-  TxnId next_txn_ = 1;
-  uint64_t txn_seed_ = 0;
-};
 
 }  // namespace rcommit::db

@@ -7,9 +7,9 @@
 // which doubles as the site enumerator: run the workload once under
 // FaultPlan::none() and sites_seen() is the reachable-site count.
 //
-// Deterministic single-threaded core: the sequential workload drivers
-// (DistributedDb, the torture suite) append from one thread. Threaded RPC
-// deployments inject at the network layer (netfault.h) instead.
+// Deterministic single-threaded core: the torture suite's workload drivers
+// append from one thread (one MultiShotDb client). Threaded RPC deployments
+// inject at the network layer (netfault.h) instead.
 #pragma once
 
 #include <cstdint>

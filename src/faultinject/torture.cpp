@@ -11,7 +11,6 @@
 #include "common/codec.h"
 #include "common/rng.h"
 #include "db/multishot.h"
-#include "db/txn.h"
 #include "db/workload.h"
 #include "swarm/pool.h"
 
@@ -67,8 +66,7 @@ db::TxnId hot_txn(const TortureOptions& options) {
 /// run, so workload transactions that touch it vote abort (exercising the
 /// abort-validity path), and recovery must resolve it alongside whatever the
 /// crash leaves behind.
-template <typename Database>
-void hold_hot_key(const TortureOptions& options, Database& database,
+void hold_hot_key(const TortureOptions& options, db::MultiShotDb& database,
                   Reference& ref) {
   const db::TxnId hot = hot_txn(options);
   ref.txns[hot].writes = {{0, {{"hot", "held"}}}};
@@ -84,37 +82,43 @@ db::WorkloadGenerator make_generator(const TortureOptions& options) {
                                options.seed);
 }
 
+/// The engine options both workloads share: a fresh engine in the scratch
+/// directory with `injector` on every shard's WAL.
+db::MultiShotDb::Options engine_options(const TortureOptions& options,
+                                        FaultInjector& injector) {
+  db::MultiShotDb::Options mopts;
+  mopts.shard_count = options.shard_count;
+  mopts.data_dir = options.scratch_dir;
+  mopts.seed = options.seed;
+  mopts.wal_fault_hook = &injector;
+  return mopts;
+}
+
 void drive(const TortureOptions& options, const SerialWorkload& serial,
            FaultInjector& injector, Reference& ref) {
-  db::DistributedDb::Options dopts;
-  dopts.shard_count = options.shard_count;
-  dopts.data_dir = options.scratch_dir;
-  dopts.seed = options.seed;
-  dopts.network = {.min_delay = serial.min_delay, .max_delay = serial.max_delay};
-  dopts.txn_timeout = serial.txn_timeout;
-  dopts.wal_fault_hook = &injector;
-  db::DistributedDb database(dopts);
+  db::MultiShotDb::Options mopts = engine_options(options, injector);
+  mopts.decision_transport = db::DecisionTransport::kThreadedNetwork;
+  mopts.network = {.min_delay = serial.min_delay, .max_delay = serial.max_delay};
+  mopts.txn_timeout = serial.txn_timeout;
+  db::MultiShotDb database(mopts);
   hold_hot_key(options, database, ref);
   db::WorkloadGenerator generator = make_generator(options);
   for (int32_t i = 0; i < serial.txns; ++i) {
     db::GeneratedTxn writes = generator.next();
     // Every third transaction contends on the held hot key.
     if (i % 3 == 1) writes[0] = {{"hot", "steal-" + std::to_string(i)}};
-    TxnRef& txn = ref.start(database.transactions_started() + 1, writes);
-    observe(txn, database.execute(writes));
+    // One client at origin 0: the engine allocates sequences 1, 2, ...
+    TxnRef& txn = ref.start(db::make_txn_id(0, i + 1), writes);
+    observe(txn, database.execute(0, writes));
   }
 }
 
 void drive(const TortureOptions& options, const PipelinedWorkload& pipelined,
            FaultInjector& injector, Reference& ref) {
-  db::MultiShotDb::Options mopts;
-  mopts.shard_count = options.shard_count;
-  mopts.data_dir = options.scratch_dir;
-  mopts.seed = options.seed;
+  db::MultiShotDb::Options mopts = engine_options(options, injector);
   mopts.decision_transport = db::DecisionTransport::kSimulator;
   mopts.k = pipelined.k;
   mopts.max_events = pipelined.max_events;
-  mopts.wal_fault_hook = &injector;
   mopts.group_commit = pipelined.group_commit;
   mopts.decision_batch = pipelined.decision_batch;
   db::MultiShotDb database(mopts);

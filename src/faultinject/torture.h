@@ -1,11 +1,13 @@
 // Recovery-equivalence torture: crash the database at a chosen WAL append,
 // recover, and check the survivors against a reference state machine.
 //
-// One checker, two workloads (TortureOptions::workload):
+// One checker and one engine, db::MultiShotDb, under two workloads
+// (TortureOptions::workload):
 //
-//   * SerialWorkload drives a DistributedDb one transaction at a time over a
-//     threaded network, so at most one transaction is in flight at a crash;
-//   * PipelinedWorkload drives db::MultiShotDb::execute_pipelined with
+//   * SerialWorkload is one client calling execute() one transaction at a
+//     time with threaded-network decision rounds, so at most one transaction
+//     is in flight at a crash;
+//   * PipelinedWorkload drives execute_pipelined with
 //     simulated decision rounds: each batch stages and prepares many
 //     instances before any of them decides, so a crash leaves *many*
 //     transactions in doubt per shard — the WAL-state space the batch
@@ -49,8 +51,9 @@
 
 namespace rcommit::faultinject {
 
-/// A serial DistributedDb: `txns` transactions after the hot prepare, each
-/// decided over the commit-fleet network before the next starts.
+/// One MultiShotDb client at origin 0: `txns` transactions after the hot
+/// prepare, each decided over a threaded commit-fleet network before the
+/// next starts.
 struct SerialWorkload {
   int32_t txns = 4;
   /// Commit-fleet network timing (kept tight: the sweep runs many points).

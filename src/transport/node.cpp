@@ -120,6 +120,12 @@ void NodeHost::run_loop() {
 FleetResult run_fleet(std::vector<std::unique_ptr<sim::Process>> processes,
                       Network& network, uint64_t seed,
                       std::chrono::milliseconds timeout) {
+  // Nodes wake early on message arrival, so a coarse step period costs no
+  // happy-path latency — it only cuts idle-step CPU, which is what bounds
+  // aggregate throughput when many rounds share few cores. The decided-poll
+  // runs at half the node step, so it puts no floor under a round's latency.
+  constexpr std::chrono::microseconds kStepPeriod{500};
+  constexpr std::chrono::microseconds kDecidedPoll{250};
   const auto n = static_cast<int32_t>(processes.size());
   RCOMMIT_CHECK(n == network.n());
   auto seeds = derive_seeds(seed, n);
@@ -130,6 +136,7 @@ FleetResult run_fleet(std::vector<std::unique_ptr<sim::Process>> processes,
     NodeHost::Options options;
     options.id = i;
     options.seed = seeds[static_cast<size_t>(i)];
+    options.step_period = kStepPeriod;
     hosts.push_back(std::make_unique<NodeHost>(options, std::move(processes[static_cast<size_t>(i)]),
                                                network));
   }
@@ -142,7 +149,7 @@ FleetResult run_fleet(std::vector<std::unique_ptr<sim::Process>> processes,
     all_decided = true;
     for (const auto& host : hosts) all_decided = all_decided && host->decided();
     if (all_decided) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    std::this_thread::sleep_for(kDecidedPoll);
   }
 
   for (auto& host : hosts) host->request_stop();

@@ -75,8 +75,9 @@ class NodeHost {
 };
 
 /// Runs a fleet of processes over a network until every node decides (or the
-/// timeout expires); returns when all node threads have been joined.
-/// Convenience wrapper used by tests, examples, and the db substrate.
+/// timeout expires); returns when all node threads have been joined. Node
+/// `i` is seeded from derive_seeds(seed, n)[i]. This is MultiShotDb's
+/// threaded decision round, and the transport tests' fleet driver.
 struct FleetResult {
   bool all_decided = false;
   std::vector<std::optional<Decision>> decisions;

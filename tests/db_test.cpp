@@ -17,8 +17,10 @@
 #include "common/codec.h"
 #include "common/rng.h"
 #include "db/kv.h"
-#include "db/txn.h"
+#include "db/multishot.h"
+#include "db/recovery.h"
 #include "db/wal.h"
+#include "faultinject/injector.h"
 
 namespace rcommit::db {
 namespace {
@@ -826,6 +828,30 @@ TEST(Kv, UnpreparedLeftoversDroppedOnRecovery) {
   EXPECT_TRUE(recovered.prepare(6, {{"z", "1"}}));  // keys unlocked
 }
 
+TEST(Kv, ReopenReportsHighestSequencePerOrigin) {
+  // Committed, aborted, in-doubt and unprepared ids all count: each is an id
+  // recovery may read, so an engine must allocate past all of them.
+  TempDir dir;
+  const auto wal_path = dir.path() / "kv.wal";
+  {
+    WriteAheadLog wal(wal_path);
+    wal.append({WalRecordType::kBegin, make_txn_id(1, 9), "", ""});
+  }
+  {
+    KvStore store(wal_path);
+    ASSERT_TRUE(store.prepare(make_txn_id(0, 3), {{"a", "1"}}));
+    store.commit(make_txn_id(0, 3));
+    ASSERT_TRUE(store.prepare(make_txn_id(0, 2), {{"b", "1"}}));
+    store.abort(make_txn_id(0, 2));
+    ASSERT_TRUE(store.prepare(make_txn_id(2, 7), {{"c", "1"}}));
+  }
+  KvStore reopened(wal_path);
+  EXPECT_EQ(reopened.opened_sequence(0), 3);
+  EXPECT_EQ(reopened.opened_sequence(1), 9);
+  EXPECT_EQ(reopened.opened_sequence(2), 7);
+  EXPECT_EQ(reopened.opened_sequence(3), 0);
+}
+
 TEST(Kv, GroupModeCoalescesTxnAppendsAndRecovers) {
   TempDir dir;
   const auto wal_path = dir.path() / "kv.wal";
@@ -1485,18 +1511,27 @@ TEST(KvReopenDiff, RandomScriptsMatchTheReference) {
 }
 
 // --- distributed transactions -----------------------------------------------------
+//
+// One MultiShotDb client with decision_batch 1: each execute() prepares,
+// decides over a fresh threaded network, and applies before the next starts.
+
+MultiShotDb::Options one_client(const fs::path& dir, int32_t shard_count) {
+  MultiShotDb::Options options;
+  options.shard_count = shard_count;
+  options.data_dir = dir;
+  options.decision_transport = DecisionTransport::kThreadedNetwork;
+  return options;
+}
 
 TEST(DistributedDb, MultiShardCommit) {
   TempDir dir;
-  DistributedDb::Options options;
-  options.shard_count = 3;
-  options.data_dir = dir.path();
+  MultiShotDb::Options options = one_client(dir.path(), 3);
   options.seed = 21;
   options.network = {.min_delay = std::chrono::microseconds(20),
                      .max_delay = std::chrono::microseconds(200)};
-  DistributedDb database(options);
+  MultiShotDb database(options);
 
-  const auto outcome = database.execute({
+  const auto outcome = database.execute(0, {
       {0, {{"acct:alice", "50"}}},
       {1, {{"acct:bob", "150"}}},
       {2, {{"ledger:tx1", "alice->bob:50"}}},
@@ -1510,16 +1545,15 @@ TEST(DistributedDb, MultiShardCommit) {
 
 TEST(DistributedDb, LockConflictAbortsEverywhere) {
   TempDir dir;
-  DistributedDb::Options options;
-  options.shard_count = 2;
-  options.data_dir = dir.path();
+  MultiShotDb::Options options = one_client(dir.path(), 2);
   options.seed = 22;
-  DistributedDb database(options);
+  MultiShotDb database(options);
 
   // A stuck transaction holds a lock on shard 1 (prepare without outcome).
   ASSERT_TRUE(database.shard(1).prepare(999, {{"hot", "held"}}));
 
-  const auto outcome = database.execute({
+  // Shard 0 prepares first; shard 1's later no-vote must abort it too.
+  const auto outcome = database.execute(0, {
       {0, {{"cold", "1"}}},
       {1, {{"hot", "2"}}},  // conflicts -> shard 1 votes abort
   });
@@ -1531,11 +1565,8 @@ TEST(DistributedDb, LockConflictAbortsEverywhere) {
 
 TEST(DistributedDb, SingleShardFastPath) {
   TempDir dir;
-  DistributedDb::Options options;
-  options.shard_count = 2;
-  options.data_dir = dir.path();
-  DistributedDb database(options);
-  const auto outcome = database.execute({{0, {{"solo", "1"}}}});
+  MultiShotDb database(one_client(dir.path(), 2));
+  const auto outcome = database.execute(0, {{0, {{"solo", "1"}}}});
   ASSERT_TRUE(outcome.decided);
   EXPECT_EQ(outcome.decision, Decision::kCommit);
   EXPECT_EQ(database.get(0, "solo"), "1");
@@ -1546,14 +1577,11 @@ TEST(DistributedDb, SameShardMultiAccountTransaction) {
   // single-shard fast path); regression for the silently-dropped duplicate
   // map key that once broke conservation in the bank example.
   TempDir dir;
-  DistributedDb::Options options;
-  options.shard_count = 2;
-  options.data_dir = dir.path();
-  DistributedDb database(options);
+  MultiShotDb database(one_client(dir.path(), 2));
   std::map<int32_t, std::vector<KvWrite>> writes;
   writes[0].push_back({"alice", "900"});
   writes[0].push_back({"bob", "1100"});
-  const auto outcome = database.execute(writes);
+  const auto outcome = database.execute(0, writes);
   ASSERT_TRUE(outcome.decided);
   EXPECT_EQ(outcome.decision, Decision::kCommit);
   EXPECT_EQ(database.get(0, "alice"), "900");
@@ -1562,16 +1590,14 @@ TEST(DistributedDb, SameShardMultiAccountTransaction) {
 
 TEST(DistributedDb, MixedSameAndCrossShardWrites) {
   TempDir dir;
-  DistributedDb::Options options;
-  options.shard_count = 2;
-  options.data_dir = dir.path();
+  MultiShotDb::Options options = one_client(dir.path(), 2);
   options.seed = 77;
-  DistributedDb database(options);
+  MultiShotDb database(options);
   std::map<int32_t, std::vector<KvWrite>> writes;
   writes[0].push_back({"a", "1"});
   writes[0].push_back({"b", "2"});
   writes[1].push_back({"c", "3"});
-  const auto outcome = database.execute(writes);
+  const auto outcome = database.execute(0, writes);
   ASSERT_TRUE(outcome.decided);
   EXPECT_EQ(outcome.decision, Decision::kCommit);
   EXPECT_EQ(database.get(0, "a"), "1");
@@ -1581,13 +1607,11 @@ TEST(DistributedDb, MixedSameAndCrossShardWrites) {
 
 TEST(DistributedDb, SequentialTransactionsReuseKeys) {
   TempDir dir;
-  DistributedDb::Options options;
-  options.shard_count = 2;
-  options.data_dir = dir.path();
+  MultiShotDb::Options options = one_client(dir.path(), 2);
   options.seed = 23;
-  DistributedDb database(options);
+  MultiShotDb database(options);
   for (int round = 0; round < 3; ++round) {
-    const auto outcome = database.execute({
+    const auto outcome = database.execute(0, {
         {0, {{"counter", std::to_string(round)}}},
         {1, {{"mirror", std::to_string(round)}}},
     });
@@ -1601,22 +1625,55 @@ TEST(DistributedDb, SequentialTransactionsReuseKeys) {
 TEST(DistributedDb, SurvivesRestartAcrossTransactions) {
   TempDir dir;
   {
-    DistributedDb::Options options;
-    options.shard_count = 2;
-    options.data_dir = dir.path();
-    DistributedDb database(options);
+    MultiShotDb database(one_client(dir.path(), 2));
     ASSERT_EQ(database
-                  .execute({{0, {{"persist", "yes"}}}, {1, {{"persist", "also"}}}})
+                  .execute(0, {{0, {{"persist", "yes"}}}, {1, {{"persist", "also"}}}})
                   .decision,
               Decision::kCommit);
   }
-  // "Restart": a new DistributedDb over the same directory recovers state.
-  DistributedDb::Options options;
-  options.shard_count = 2;
-  options.data_dir = dir.path();
-  DistributedDb database(options);
+  // "Restart": a new engine over the same directory recovers state.
+  MultiShotDb database(one_client(dir.path(), 2));
   EXPECT_EQ(database.get(0, "persist"), "yes");
   EXPECT_EQ(database.get(1, "persist"), "also");
+}
+
+TEST(DistributedDb, RestartNeverReissuesALoggedTxnId) {
+  // Epoch 1 commits one transaction on shards {0, 1}. A restarted engine
+  // that handed out its id again would log a second transaction under it;
+  // recovery's rule 1 would then adopt epoch 1's COMMIT for a transaction
+  // whose shard 2 never prepared — installing it on shard 1 only.
+  TempDir dir;
+  {
+    MultiShotDb database(one_client(dir.path(), 3));
+    ASSERT_EQ(database.execute(0, {{0, {{"w", "old"}}}, {1, {{"x", "old"}}}}).decision,
+              Decision::kCommit);
+  }
+  // Epoch 2 crashes before shard 2's PREPARED: sites 0-2 are shard 1's
+  // BEGIN, WRITE and PREPARED, 3-4 shard 2's BEGIN and WRITE.
+  faultinject::FaultInjector injector(
+      faultinject::FaultPlan::wal_fault_at(5, faultinject::FaultKind::kCrashBefore));
+  {
+    MultiShotDb::Options options = one_client(dir.path(), 3);
+    options.wal_fault_hook = &injector;
+    MultiShotDb database(options);
+    EXPECT_THROW((void)database.execute(0, {{1, {{"x", "new"}}}, {2, {{"y", "new"}}}}),
+                 CrashInjected);
+  }
+  ASSERT_EQ(injector.sites_seen(), 6);
+
+  std::vector<std::unique_ptr<KvStore>> stores;
+  std::vector<KvStore*> raw;
+  for (int32_t s = 0; s < 3; ++s) {
+    stores.push_back(std::make_unique<KvStore>(dir.path() /
+                                               ("shard-" + std::to_string(s) + ".wal")));
+    raw.push_back(stores.back().get());
+  }
+  const RecoveryReport report = RecoveryManager(raw, {}).resolve_all();
+  EXPECT_EQ(report.resolved_commit, 0);
+  EXPECT_EQ(report.resolved_abort, 1);
+  // At all processors or at none: the crashed transaction aborts everywhere.
+  EXPECT_EQ(stores[1]->get("x"), "old");
+  EXPECT_EQ(stores[2]->get("y"), std::nullopt);
 }
 
 }  // namespace

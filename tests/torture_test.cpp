@@ -4,7 +4,8 @@
 // reference state machine's committed-prefix view (SQLite crash-test style),
 // cross-shard atomicity included ("at all processors or at no processor").
 //
-//   WalTortureFixture        the serial DistributedDb workload
+//   WalTortureFixture        the serial workload: one MultiShotDb client
+//                            over the threaded network
 //   MultiShotTortureFixture  the pipelined MultiShotDb workload (3 shards x
 //                            8 instances in flight), with and without group
 //                            commit + decision batching

@@ -12,11 +12,12 @@
 // (seed, site) alone — see docs/fault-injection.md for the repro recipe CI
 // prints.
 //
-// --multishot selects the pipelined MultiShotDb workload (--batches,
-// --batch-size, --group-commit, --decision-batch), where a crash leaves many
-// transactions in doubt per shard. A workload flag the selected workload
-// does not read exits 2. --artifact reads the workload from config.txt, so
-// saved artifacts of either workload replay with or without --multishot.
+// --multishot selects the pipelined workload (--batches, --batch-size,
+// --group-commit, --decision-batch), where a crash leaves many transactions
+// in doubt per shard. A workload flag the selected workload does not read
+// exits 2. --artifact reads the workload and seed from config.txt alone, so
+// saved artifacts of either workload replay with or without --multishot, and
+// any other workload or seed flag beside it exits 2.
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
@@ -61,10 +62,12 @@ const std::vector<FlagDoc> kDocs = {
 };
 const char kSummary[] = "deterministic crash-point fault injection driver";
 
-/// Workload flags read by only one of the two workloads.
+/// Workload flags: read by the serial workload only, by the pipelined one
+/// only, and by both.
 const std::vector<const char*> kSerialFlags = {"txns"};
 const std::vector<const char*> kPipelinedFlags = {"batches", "batch-size",
                                                   "group-commit", "decision-batch"};
+const std::vector<const char*> kSharedFlags = {"seed", "shards", "fanout", "keys"};
 
 void print_result(const CrashPointResult& result) {
   std::cout << result.serialize();
@@ -159,8 +162,20 @@ int main(int argc, char** argv) {
   }
 
   // Workload flags of the workload not selected are usage errors, never
-  // silently ignored.
+  // silently ignored — and so is every workload or seed flag beside
+  // --artifact, whose config.txt is the only source of both.
   const bool multishot = flags.get_bool("multishot", false);
+  if (flags.has("artifact")) {
+    for (const auto* names : {&kSerialFlags, &kPipelinedFlags, &kSharedFlags}) {
+      for (const char* name : *names) {
+        if (flags.has(name)) {
+          std::cerr << "--" << name << " does not apply to --artifact: the "
+                    << "artifact's config.txt sets the workload and seed\n";
+          return 2;
+        }
+      }
+    }
+  }
   for (const char* name : multishot ? kSerialFlags : kPipelinedFlags) {
     if (flags.has(name)) {
       std::cerr << "--" << name
@@ -220,8 +235,8 @@ int main(int argc, char** argv) {
   } else if (replay) {
     exit_code = run_replay(options, site, kind, arg, save_dir);
   } else {
-    // --artifact reads the workload from config.txt, so it replays with or
-    // without --multishot.
+    // --artifact reads the workload and seed from config.txt, so it replays
+    // with or without --multishot.
     exit_code = run_artifact(artifact, options.scratch_dir);
   }
   std::filesystem::remove_all(options.scratch_dir);
